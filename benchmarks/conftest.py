@@ -57,12 +57,8 @@ def _matrix_prewarm(request, bench_scale):
         use_cache=use_cache,
         progress=lambda line: print(f"[matrix] {line}", flush=True),
     )
-    # Some experiments (table01, fig03) need no protocol cells; writing
-    # their empty summary would clobber a previously archived matrix (its
-    # ``cells`` list carries the per-cell wall times) with zero cells.
-    if summary.outcomes:
-        _RESULTS_DIR.mkdir(exist_ok=True)
-        summary.write_json(_RESULTS_DIR / "BENCH_matrix.json")
+    # A no-op for experiments that need no protocol cells (table01, fig03).
+    summary.write_json(_RESULTS_DIR / "BENCH_matrix.json")
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ The pipeline plugs into mark–sweep GC between the mark and sweep stages:
   from the RRT.
 * :class:`Analyzer` (§5.3) — locality-promoting chunk clustering: a binary
   tree splits chunks by per-backup reference (most recent backup first,
-  Bloom-filter membership checks, split-denial threshold), leaving leaves =
-  clusters of identical ownership.
+  exact interned-id membership checks — Bloom filters as the ablation —
+  split-denial threshold), leaving leaves = clusters of identical ownership.
 * :class:`Planner` (§5.4) — container-adaptable cluster packing: orders
   clusters (tree order realises the packing implicitly; greedy and random
   orders exist for the §6.5 ablation) and emits the migration order.

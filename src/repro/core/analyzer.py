@@ -8,9 +8,9 @@ backups are checked, each leaf holds chunks with identical ownership — a
 
 All four of the paper's optimizations are implemented:
 
-① **Bloom-filter reference checks** — per-recipe filters keyed by storage
-   key replace recipe scans; see :class:`ReferenceChecker` (filters are
-   built once per GC run and reused across segments).
+① **Per-recipe membership structures instead of recipe scans** — exact
+   interned-id sets by default, the paper's Bloom filters as the opt-in
+   ablation; see :class:`ReferenceChecker`.
 ② **Reverse (most-recent-first) backup order** — the first split is on the
    newest involved backup, so adjacent leaves agree on the most recent
    backups (the Planner's packing property, §5.4).
@@ -40,34 +40,46 @@ from repro.model import ChunkRef
 
 
 class ReferenceChecker:
-    """Answers "does backup *b* reference storage key *k*?" (optimization ①).
+    """Answers "does backup *b* reference this chunk?" (optimization ①).
 
-    One membership filter per backup recipe, built lazily on first use and
-    cached for the whole GC run.  With Bloom filters a false positive can
-    misplace a chunk into a slightly-too-large ownership cluster — harmless
-    for correctness (clustering only affects layout), bounded by the
-    configured false-positive rate.
+    :meth:`exact_ids` is a columnar recipe's cached ``unique_ids()`` — the
+    Analyzer's id kernel; nothing is built.  :meth:`membership` is a per-key
+    predicate for legacy recipes and the Bloom ablation: an exact key set,
+    or a Bloom filter when ``exact_reference_check`` is off, built lazily
+    and kept for the whole GC run.  A Bloom false positive can misplace a
+    chunk into a slightly-too-large ownership cluster — harmless for
+    correctness (clustering only affects layout), bounded by
+    ``bloom_fp_rate``.  Whichever form answers, a recipe's first
+    consultation charges ``build_ops`` one operation per entry: the paper's
+    filter-construction cost, which simulated analyze time keeps.
     """
 
     def __init__(self, recipes: RecipeStore, config: GCCDFConfig):
         self.recipes = recipes
         self.config = config
         self._filters: dict[int, Callable[[bytes], bool]] = {}
-        #: Filters built (for reporting memory/CPU effort).
+        self._charged: set[int] = set()
+        #: Predicates actually built (none on the id kernel's path).
         self.filters_built = 0
         #: Total filter-construction operations (one per recipe entry).
         self.build_ops = 0
 
-    def _build(self, backup_id: int) -> Callable[[bytes], bool]:
+    def _recipe(self, backup_id: int):
+        """The backup's recipe; its first consultation is charged."""
         recipe = self.recipes.get(backup_id)
+        if backup_id not in self._charged:
+            self._charged.add(backup_id)
+            self.build_ops += recipe.num_chunks
+        return recipe
+
+    def _build(self, recipe) -> Callable[[bytes], bool]:
         self.filters_built += 1
-        self.build_ops += recipe.num_chunks
         if self.config.exact_reference_check:
             return recipe.unique_fingerprints().__contains__
         bloom = BloomFilter(
             capacity=max(1, recipe.num_chunks),
             fp_rate=self.config.bloom_fp_rate,
-            salt=b"recipe" + backup_id.to_bytes(8, "big"),
+            salt=b"recipe" + recipe.backup_id.to_bytes(8, "big"),
         )
         # fingerprints() resolves columnar recipes through the interner's
         # flat id → key table; same keys, same order, on either
@@ -76,29 +88,16 @@ class ReferenceChecker:
         return bloom.__contains__
 
     def membership(self, backup_id: int) -> Callable[[bytes], bool]:
-        """The membership predicate for one backup's recipe."""
+        """The per-key membership predicate for one backup's recipe."""
         predicate = self._filters.get(backup_id)
         if predicate is None:
-            predicate = self._build(backup_id)
+            predicate = self._build(self._recipe(backup_id))
             self._filters[backup_id] = predicate
         return predicate
 
-    def exact_ids(self, backup_id: int) -> frozenset[int] | None:
-        """The recipe's exact interned-id member set (columnar recipes only).
-
-        This is the Analyzer's id-level fast path: an id in this set is a
-        *proven* recipe member, so the Bloom predicate — which has no false
-        negatives — would answer True for its key without being asked.  Ids
-        outside it still probe the real filter, reproducing the filter's
-        false positives bit-for-bit (clustering, and therefore layout, must
-        not depend on which kernel ran).  The set is the recipe's cached
-        ``unique_ids()`` — already materialised by the columnar mark — so
-        consulting it costs no build work and is deliberately not counted
-        in ``build_ops``.
-        """
-        recipe = self.recipes.get(backup_id)
-        unique_ids = getattr(recipe, "unique_ids", None)
-        return unique_ids() if unique_ids is not None else None
+    def exact_ids(self, backup_id: int) -> frozenset[int]:
+        """One columnar recipe's exact interned-id member set."""
+        return self._recipe(backup_id).unique_ids()
 
 
 @dataclass
@@ -106,13 +105,31 @@ class _LeafNode:
     """A leaf of the ownership tree (optimization ④: linked, refs only)."""
 
     chunks: list[ChunkRef]
-    #: Interned ids aligned with ``chunks`` (columnar runs only).
+    #: Interned ids aligned with ``chunks`` (id kernel only).
     ids: list[int] | None = None
     #: Backups (ascending id) confirmed to reference every chunk here.
     owners: list[int] = field(default_factory=list)
     denied: bool = False
     prev: "_LeafNode | None" = None
     next: "_LeafNode | None" = None
+
+    def split(self, flags: list[bool]) -> None:
+        """Keep the flagged chunks (left child); the rest become a new right
+        sibling, linked in after this leaf."""
+        inverse = list(map(not_, flags))
+        right = _LeafNode(
+            chunks=list(compress(self.chunks, inverse)),
+            owners=list(self.owners),
+            prev=self,
+            next=self.next,
+        )
+        self.chunks = list(compress(self.chunks, flags))
+        if self.ids is not None:
+            right.ids = list(compress(self.ids, inverse))
+            self.ids = list(compress(self.ids, flags))
+        if self.next is not None:
+            self.next.prev = right
+        self.next = right
 
 
 class Analyzer:
@@ -144,38 +161,37 @@ class Analyzer:
     ) -> list[Cluster]:
         """Run the round-based splitting; returns clusters in tree order.
 
-        ``valid_ids`` (interned ids aligned with ``valid_chunks``, columnar
-        services only) switches the per-leaf reference check to the fused
-        id-level kernel: a C-level hit against the recipe's exact id set
-        proves membership — the Bloom predicate has no false negatives, so
-        its answer is already known — and only the non-member minority
-        probes the real filter (one fused pass, reproducing Bloom false
-        positives exactly).  Probe accounting is unchanged — ``probes``
-        counts chunk classifications, not digest computations, on both
-        kernels — so ``analyze_ops`` and the ``gc.segment`` trace are
-        identical either way.
+        Two kernels, same clusters whenever membership answers agree.  The
+        **id kernel** runs when ``valid_ids`` (interned ids aligned with
+        ``valid_chunks``) is given, the check is exact and every recipe is
+        columnar: C-level set algebra of each leaf's id column against the
+        recipe's cached id set, where only a real split pays a per-chunk
+        pass.  Otherwise (legacy recipes, the Bloom ablation) every chunk's
+        key goes through the per-recipe predicate.  ``probes`` counts chunk
+        classifications on both, so ``analyze_ops`` and the ``gc.segment``
+        trace do not depend on which kernel ran.
         """
         if not valid_chunks:
-            self.last_leaf_count = 0
-            self.last_probe_count = 0
-            self.last_chunk_count = 0
+            self.last_leaf_count = self.last_probe_count = self.last_chunk_count = 0
             return []
 
+        by_id = (
+            valid_ids is not None
+            and self.config.exact_reference_check
+            and self.checker.recipes.all_columnar()
+        )
         head = _LeafNode(
-            chunks=list(valid_chunks),
-            ids=list(valid_ids) if valid_ids is not None else None,
+            chunks=list(valid_chunks), ids=list(valid_ids) if by_id else None
         )
         threshold = self.config.split_denial_threshold
-        exact_config = self.config.exact_reference_check
-        keys = (
-            self.checker.recipes.interner.keys() if valid_ids is not None else None
-        )
         probes = 0
 
         # Optimization ②: most recent backup first.
         for backup_id in sorted(involved_backups, reverse=True):
-            predicate = self.checker.membership(backup_id)
-            exact = self.checker.exact_ids(backup_id) if valid_ids is not None else None
+            if by_id:
+                members = self.checker.exact_ids(backup_id)
+            else:
+                predicate = self.checker.membership(backup_id)
             node: _LeafNode | None = head
             while node is not None:
                 successor = node.next
@@ -185,49 +201,23 @@ class Analyzer:
                     node = successor
                     continue
                 probes += len(node.chunks)
-                node_ids = node.ids
-                if node_ids is not None and exact is not None:
-                    if exact_config:
-                        # Exact-check config: the predicate *is* recipe
-                        # membership, which the id set answers outright.
-                        flags = [chunk_id in exact for chunk_id in node_ids]
+                # `flags`: True / False when the leaf is wholly referenced /
+                # unreferenced, else one bool per chunk.
+                if by_id:
+                    if members.issuperset(node.ids):
+                        flags = True
+                    elif members.isdisjoint(node.ids):
+                        flags = False
                     else:
-                        flags = [
-                            chunk_id in exact or predicate(keys[chunk_id])
-                            for chunk_id in node_ids
-                        ]
-                    referenced = list(compress(node.chunks, flags))
-                    if len(referenced) == len(node.chunks):
-                        unreferenced: list[ChunkRef] = []
-                    elif not referenced:
-                        unreferenced = node.chunks
-                    else:
-                        inverse = list(map(not_, flags))
-                        unreferenced = list(compress(node.chunks, inverse))
-                        right_ids = list(compress(node_ids, inverse))
-                        node.ids = list(compress(node_ids, flags))
+                        flags = list(map(members.__contains__, node.ids))
                 else:
-                    referenced = [c for c in node.chunks if predicate(c.fp)]
-                    unreferenced = [c for c in node.chunks if not predicate(c.fp)]
-                    right_ids = None
-                if referenced and unreferenced:
-                    # Split: referenced chunks stay in `node` (left child),
-                    # the rest move to a new right sibling.
-                    right = _LeafNode(
-                        chunks=unreferenced,
-                        ids=right_ids,
-                        owners=list(node.owners),
-                        prev=node,
-                        next=successor,
-                    )
-                    node.owners = node.owners + [backup_id]
-                    node.chunks = referenced
-                    node.next = right
-                    if successor is not None:
-                        successor.prev = right
-                elif referenced:
-                    node.owners = node.owners + [backup_id]
-                # else: wholly unreferenced — leaf unchanged.
+                    flags = [predicate(chunk.fp) for chunk in node.chunks]
+                    if all(flags) or not any(flags):
+                        flags = flags[0]
+                if flags:
+                    if flags is not True:
+                        node.split(flags)
+                    node.owners.append(backup_id)
                 node = successor
 
         clusters: list[Cluster] = []

@@ -25,8 +25,9 @@ answer.
 
 from __future__ import annotations
 
+from repro.config import GCCDFConfig
 from repro.core.analyzer import Analyzer, ReferenceChecker
-from repro.core.planner import Planner
+from repro.core.planner import MigrationOrder, Planner
 from repro.core.preprocessor import Preprocessor
 from repro.gc.migration import (
     JournaledCopyForward,
@@ -34,6 +35,43 @@ from repro.gc.migration import (
     SweepContext,
 )
 from repro.util.rng import DeterministicRng
+
+
+class AnalyzeStage:
+    """One GC round's Analyzer + Planner, shared by both GC engines.
+
+    :meth:`order` is the whole ``analyze`` stage of Fig. 14 for one segment:
+    its wall time goes to ``ctx.analyze_watch`` and its simulated cost to
+    ``ctx.analyze_ops`` as *operation counts* under the paper's cost model —
+    reference-structure builds + membership probes + packing comparisons +
+    the migration-order construction — whichever kernel did the work.
+    """
+
+    def __init__(self, recipes, config: GCCDFConfig, rng: DeterministicRng):
+        self.checker = ReferenceChecker(recipes, config)
+        self.analyzer = Analyzer(self.checker, config)
+        self.planner = Planner(config, rng=rng)
+
+    def order(
+        self,
+        ctx: SweepContext,
+        valid_chunks,
+        involved_backups: tuple[int, ...],
+        valid_ids: list[int] | None,
+    ) -> MigrationOrder:
+        builds_before = self.checker.build_ops
+        with ctx.analyze_watch.timed():
+            clusters = self.analyzer.cluster(
+                valid_chunks, involved_backups, valid_ids=valid_ids
+            )
+            order = self.planner.plan(clusters, involved_backups)
+        ctx.analyze_ops += (
+            (self.checker.build_ops - builds_before)
+            + self.analyzer.last_probe_count
+            + order.num_clusters * order.num_clusters
+            + order.num_chunks
+        )
+        return order
 
 
 class GCCDFMigration:
@@ -58,34 +96,20 @@ class GCCDFMigration:
     def migrate(self, ctx: SweepContext) -> MigrationResult:
         copy_forward = JournaledCopyForward(ctx)
         result = copy_forward.result
-        checker = ReferenceChecker(ctx.recipes, ctx.config.gccdf)
-        analyzer = Analyzer(checker, ctx.config.gccdf)
-        planner = Planner(
+        stage = AnalyzeStage(
+            ctx.recipes,
             ctx.config.gccdf,
-            rng=DeterministicRng(self._seed).fork("round", self._round),
+            DeterministicRng(self._seed).fork("round", self._round),
         )
         preprocessor = Preprocessor(ctx)
         self.last_cluster_counts = []
 
         for segment in preprocessor.segments():
             # Analyze: cluster by ownership, then pack (CPU time, Fig. 14).
-            builds_before = checker.build_ops
-            with ctx.analyze_watch.timed():
-                clusters = analyzer.cluster(
-                    segment.valid_chunks,
-                    segment.involved_backups,
-                    valid_ids=segment.valid_ids,
-                )
-                order = planner.plan(clusters, segment.involved_backups)
-            self.last_cluster_counts.append(order.num_clusters)
-            # Analyze cost in operations: filter builds + membership probes
-            # + packing comparisons + the migration-order construction.
-            ctx.analyze_ops += (
-                (checker.build_ops - builds_before)
-                + analyzer.last_probe_count
-                + order.num_clusters * order.num_clusters
-                + order.num_chunks
+            order = stage.order(
+                ctx, segment.valid_chunks, segment.involved_backups, segment.valid_ids
             )
+            self.last_cluster_counts.append(order.num_clusters)
 
             # Sweep-write: drain the GC cache in the reordered sequence.
             # The chunk's current placement names its source container —

@@ -23,6 +23,8 @@ Three implementations are exposed for the §6.5 ablation:
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.core.clusters import Cluster
 from repro.errors import ConfigError
 from repro.util.rng import DeterministicRng
@@ -54,34 +56,42 @@ def greedy_pack(clusters: list[Cluster], num_backups: int) -> list[Cluster]:
     """The explicit §4.2 packing: similarity chain from the largest owner set.
 
     Deterministic: all ties beyond the paper's two criteria fall back to the
-    ownership tuple itself.  O(n²) in the number of clusters — acceptable
-    because segmentation keeps per-segment cluster counts in the thousands
-    (§5.5 reports 1200–1600 leaves per segment).
+    ownership tuple itself.  O(n²) in the number of clusters (§5.5 reports
+    1200–1600 leaves per segment), so comparisons run on ownership
+    *bitmasks*, bit *i* standing for the *i*-th most recent backup:
+    ``(a & b).bit_count()`` counts shared owners — similarity times
+    ``num_backups``, which therefore never changes the order — and the
+    common owners below the lowest differing bit are the matching suffix.
     """
     if not clusters:
         return []
-    remaining = list(clusters)
+    owners = [c.ownership for c in clusters]
+    recent_first = sorted({b for owned in owners for b in owned}, reverse=True)
+    bit = {backup: 1 << i for i, backup in enumerate(recent_first)}
+    masks = [sum({bit[b] for b in owned}) for owned in owners]
+    remaining = list(range(len(clusters)))
     # Initial entry: largest ownership (ties: more chunks, then tuple order).
-    first = max(
+    pick = max(
         remaining,
-        key=lambda c: (len(c.ownership), c.num_chunks, tuple(-b for b in c.ownership)),
+        key=lambda i: (len(owners[i]), clusters[i].num_chunks, tuple(-b for b in owners[i])),
     )
-    remaining.remove(first)
-    ordered = [first]
-    while remaining:
-        last = ordered[-1].ownership
-        best = max(
-            remaining,
-            key=lambda c: (
-                ownership_similarity(last, c.ownership, num_backups),
-                matching_suffix_length(last, c.ownership),
-                len(c.ownership),
-                c.ownership,
-            ),
-        )
-        remaining.remove(best)
-        ordered.append(best)
-    return ordered
+
+    def suffix_key(i: int) -> tuple:
+        # For candidates tied on similarity to `last`, the mask just placed.
+        differ = last ^ masks[i]
+        suffix = last & ((differ & -differ) - 1)  # `last` itself when equal
+        return (suffix.bit_count(), len(owners[i]), owners[i])
+
+    ordered = []
+    while True:
+        remaining.remove(pick)
+        ordered.append(clusters[pick])
+        if not remaining:
+            return ordered
+        last = masks[pick]
+        shared = [(last & masks[i]).bit_count() for i in remaining]
+        most = max(shared)
+        pick = max(compress(remaining, [n == most for n in shared]), key=suffix_key)
 
 
 def random_pack(clusters: list[Cluster], rng: DeterministicRng) -> list[Cluster]:

@@ -302,14 +302,22 @@ class MatrixSummary:
             ],
         }
 
-    def write_json(self, path: str | os.PathLike = DEFAULT_BENCH_PATH) -> None:
-        """Persist per-cell and total wall-time (the BENCH_matrix.json file)."""
+    def write_json(self, path: str | os.PathLike = DEFAULT_BENCH_PATH) -> bool:
+        """Persist per-cell and total wall-time (the BENCH_matrix.json file).
+
+        A run without protocol cells (``table01``, ``fig03``) writes nothing
+        and returns False: an empty summary would only clobber an archived
+        matrix with zero cells and a fresh wall-time stamp.
+        """
+        if not self.outcomes:
+            return False
         parent = os.path.dirname(os.fspath(path))
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return True
 
 
 def _merged_events(

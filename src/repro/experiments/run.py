@@ -19,7 +19,7 @@ Tables go to stdout; progress lines, the matrix summary and cache-hit
 counters go to stderr, so redirected stdout is byte-stable across ``--jobs``
 values and cache states.  Per-cell and total wall-times are written to
 ``benchmarks/results/BENCH_matrix.json`` (``--bench-json`` overrides the
-path).
+path) whenever at least one protocol cell was needed.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ConfigError as exc:
         parser.error(str(exc))
-    summary.write_json(args.bench_json)
+    wrote = summary.write_json(args.bench_json)
 
     runs_after_matrix = common.protocol_runs()
     for name in selected:
@@ -155,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         "protocol re-runs while rendering (0 means the matrix covered "
         f"every cell): {common.protocol_runs() - runs_after_matrix}"
     )
-    progress(f"wall-times written to {args.bench_json}")
+    if wrote:
+        progress(f"wall-times written to {args.bench_json}")
     return 0
 
 

@@ -225,7 +225,7 @@ class IncrementalGC:
         #: Transient per-cycle runners, rebuilt when the state is dirty.
         self._ctx: SweepContext | None = None
         self._cf: _CycleCopyForward | None = None
-        self._gccdf_runners = None
+        self._analyze_stage = None
 
     # ------------------------------------------------------------------
     # Trigger / lifecycle
@@ -341,7 +341,7 @@ class IncrementalGC:
             self._state = None
             self._ctx = None
             self._cf = None
-            self._gccdf_runners = None
+            self._analyze_stage = None
 
     def _boundary(self, state: GCCycleState) -> None:
         state.steps += 1
@@ -357,7 +357,7 @@ class IncrementalGC:
             state.analyze_cpu_seconds += self._ctx.analyze_watch.elapsed
         self._ctx = None
         self._cf = None
-        self._gccdf_runners = None
+        self._analyze_stage = None
         state.dirty = False
 
     @property
@@ -377,21 +377,18 @@ class IncrementalGC:
             ctx.analyze_ops = state.analyze_ops
             self._ctx = ctx
             self._cf = _CycleCopyForward(ctx, state)
-        if self._is_gccdf and self._gccdf_runners is None:
+        if self._is_gccdf and self._analyze_stage is None:
             # Imported lazily: repro.core pulls in the whole GCCDF pipeline,
             # which this module only needs for that one strategy.
-            from repro.core.analyzer import Analyzer, ReferenceChecker
-            from repro.core.planner import Planner
+            from repro.core.gccdf import AnalyzeStage
 
-            checker = ReferenceChecker(self.recipes, self.config.gccdf)
-            analyzer = Analyzer(checker, self.config.gccdf)
-            planner = Planner(
+            self._analyze_stage = AnalyzeStage(
+                self.recipes,
                 self.config.gccdf,
-                rng=DeterministicRng(getattr(self.migration, "_seed", 0)).fork(
+                DeterministicRng(getattr(self.migration, "_seed", 0)).fork(
                     "round", state.round_index
                 ),
             )
-            self._gccdf_runners = (checker, analyzer, planner)
 
     # -- hybrid rededup ------------------------------------------------
 
@@ -609,9 +606,8 @@ class IncrementalGC:
     def _gccdf_segment_step(self, state: GCCycleState) -> None:
         """One GCCDF segment: read + cache → analyze → reordered write →
         schedule reclaims.  Mirrors ``GCCDFMigration.migrate``'s per-segment
-        body exactly (same analyze-op accounting, same crash point)."""
+        body exactly (the shared ``AnalyzeStage``, same crash point)."""
         ctx, copy_forward = self._ctx, self._cf
-        checker, analyzer, planner = self._gccdf_runners
         batch = state.segment_batches[state.segment_pos]
         segment_index = state.segment_pos
         state.segment_pos += 1
@@ -651,19 +647,11 @@ class IncrementalGC:
                             payloads[entry.fp] = payload
             if container_ids:
                 involved_backups = tuple(sorted(owners))
-                builds_before = checker.build_ops
-                with ctx.analyze_watch.timed():
-                    clusters = analyzer.cluster(
-                        valid_chunks,
-                        involved_backups,
-                        valid_ids=valid_ids if columnar else None,
-                    )
-                    order = planner.plan(clusters, involved_backups)
-                ctx.analyze_ops += (
-                    (checker.build_ops - builds_before)
-                    + analyzer.last_probe_count
-                    + order.num_clusters * order.num_clusters
-                    + order.num_chunks
+                order = self._analyze_stage.order(
+                    ctx,
+                    valid_chunks,
+                    involved_backups,
+                    valid_ids if columnar else None,
                 )
                 sequence = order.sequence
                 if columnar and not payloads:
@@ -790,7 +778,7 @@ class IncrementalGC:
         self._state = None
         self._ctx = None
         self._cf = None
-        self._gccdf_runners = None
+        self._analyze_stage = None
         return report
 
 

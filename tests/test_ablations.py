@@ -29,9 +29,18 @@ class TestAblationRenderers:
         text = ablations.restore_cache_ablation("quick")
         assert "unbounded" in text
 
+    def test_reference_check_table(self):
+        text = ablations.reference_check_ablation("quick")
+        rows = [line.split() for line in text.splitlines()[3:]]
+        assert len(rows) == len(ablations.REFERENCE_CHECK_DATASETS) * 3
+        for exact, bloom_fine, bloom_coarse in zip(rows[0::3], rows[1::3], rows[2::3]):
+            assert exact[1:3] == ["exact", "ids"] and bloom_coarse[2] == "1e-2"
+            # Bloom false positives invent ownerships: never fewer clusters.
+            assert int(exact[3]) <= int(bloom_fine[3]) <= int(bloom_coarse[3])
+
     def test_run_concatenates_all(self):
         text = ablations.run("quick")
-        assert text.count("Ablation —") == 4
+        assert text.count("Ablation —") == 5
 
 
 class TestAblationShapes:

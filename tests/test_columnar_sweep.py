@@ -118,13 +118,22 @@ sweep_ops = st.lists(
     ops=sweep_ops,
     approach=st.sampled_from(APPROACHES),
     gc_mode=st.sampled_from(["stw", "incremental"]),
+    # GCCDF's reference check: the exact id kernel (columnar) against exact
+    # key sets (legacy), or the Bloom ablation at a false-positive rate
+    # high enough to misplace chunks — identically on both sides.
+    bloom_fp_rate=st.sampled_from([None, 0.2]),
 )
-def test_sweep_end_state_matches_legacy(ops, approach, gc_mode):
+def test_sweep_end_state_matches_legacy(ops, approach, gc_mode, bloom_fp_rate):
+    config = make_config()
+    if bloom_fp_rate is not None:
+        config = config.with_gccdf(
+            exact_reference_check=False, bloom_fp_rate=bloom_fp_rate
+        )
     states = {}
     for columnar in (True, False):
         service = make_service(
             approach,
-            config=make_config(),
+            config=config,
             options=ServiceOptions(columnar=columnar, gc_mode=gc_mode),
         )
         for op, a, b in ops:

@@ -124,11 +124,15 @@ class TestExperimentRenderers:
 
 
 class TestCLI:
-    def test_single_figure(self, capsys):
-        assert main(["--figure", "table01", "--scale", "quick"]) == 0
+    def test_single_figure(self, capsys, tmp_path):
+        bench = tmp_path / "BENCH_matrix.json"
+        argv = ["--figure", "table01", "--scale", "quick", "--bench-json", str(bench)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "completed in" in out
+        # table01 needs no protocol cells: no (empty) wall-time file.
+        assert not bench.exists()
 
     def test_requires_selection(self):
         with pytest.raises(SystemExit):

@@ -152,8 +152,8 @@ class TestGCCDFSpecificEdges:
         assert report.reclaimed_containers > 0
         assert_consistent(service)
 
-    def test_exact_reference_check_mode(self, tiny_config):
-        config = tiny_config.with_gccdf(exact_reference_check=True)
+    def test_bloom_reference_check_ablation(self, tiny_config):
+        config = tiny_config.with_gccdf(exact_reference_check=False)
         service = DedupBackupService(config=config, migration=GCCDFMigration())
         first = service.ingest(refs("s", range(32)))
         keep = service.ingest(refs("s", range(0, 32, 2)))

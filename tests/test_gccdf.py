@@ -1,10 +1,16 @@
 """Integration tests for GCCDF: Preprocessor, Planner, and the full
 migration strategy plugged into mark–sweep GC."""
 
+import random
+from contextlib import contextmanager, nullcontext
+
 import pytest
 
+from repro.backup.approaches import make_service
+from repro.backup.options import ServiceOptions
 from repro.backup.system import DedupBackupService
 from repro.config import GCCDFConfig, SystemConfig
+from repro.core.analyzer import Analyzer
 from repro.core.gccdf import GCCDFMigration
 from repro.core.planner import Planner
 from repro.core.preprocessor import Preprocessor
@@ -12,8 +18,11 @@ from repro.core.clusters import Cluster
 from repro.dedup.keys import storage_key
 from repro.gc.mark import MarkStage
 from repro.gc.migration import SweepContext
+from repro.hashing.bloom import BloomFilter
 from repro.hashing.fingerprints import synthetic_fingerprint
+from repro.index.columnar import ColumnarRecipe
 from repro.model import ChunkRef
+from repro.obs import TraceRecorder
 
 from tests.conftest import refs
 
@@ -260,3 +269,99 @@ class TestParallelSegments:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             GCCDFMigration(parallel_workers=0)
+
+
+class TestReferenceCheckAccounting:
+    """The id kernel changes how membership is answered, never what the
+    cost model charges: per-segment ``(last_probe_count, build_ops,
+    clusters)`` and per-round ``analyze_ops`` of one pinned rotation equal
+    the numbers the pre-kernel implementation produced — under exact
+    checks (now the default) and under the Bloom ablation (its old
+    default, false positives included)."""
+
+    PINNED = {
+        True: (
+            [(258, 180, 4), (190, 317, 6), (283, 268, 5), (301, 339, 6), (334, 335, 6)],
+            [540, 583, 647, 737, 773],
+        ),
+        False: (
+            [(258, 180, 4), (189, 317, 7), (389, 336, 5), (250, 339, 6), (326, 335, 6)],
+            [540, 595, 829, 678, 765],
+        ),
+    }
+
+    @staticmethod
+    def rotate(tiny_config, monkeypatch, during_gc=nullcontext, **options):
+        """Three interleaved sources, 16 backups, 5 GC rounds (each run
+        inside ``during_gc()``)."""
+        segments = []
+        cluster = Analyzer.cluster
+
+        def spy(self, *args, **kwargs):
+            clusters = cluster(self, *args, **kwargs)
+            segments.append(
+                (self.last_probe_count, self.checker.build_ops, len(clusters))
+            )
+            return clusters
+
+        monkeypatch.setattr(Analyzer, "cluster", spy)
+        recorder = TraceRecorder()
+        service = make_service(
+            "gccdf", config=tiny_config, options=ServiceOptions(tracer=recorder, **options)
+        )
+        for generation in range(16):
+            rng = random.Random(generation)
+            window = range(generation, generation + 90)
+            service.ingest(
+                refs(f"pin{generation % 3}", [i for i in window if rng.random() < 0.7])
+            )
+            if generation >= 6 and generation % 2 == 0:
+                service.delete_oldest(2)
+                with during_gc():
+                    service.run_gc()
+        rounds = [e.fields["analyze_ops"] for e in recorder.events if e.name == "gc.analyze"]
+        return segments, rounds
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_pinned_rotation_op_counts(
+        self, tiny_config, monkeypatch, exact, gc_mode, columnar
+    ):
+        config = tiny_config.with_gccdf(exact_reference_check=exact)
+        assert self.rotate(
+            config, monkeypatch, gc_mode=gc_mode, columnar=columnar
+        ) == self.PINNED[exact]
+
+    @pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
+    def test_default_gc_builds_no_filter_and_no_key_set(
+        self, tiny_config, monkeypatch, gc_mode
+    ):
+        assert GCCDFConfig().exact_reference_check
+        built = []
+        in_gc = []
+
+        @contextmanager
+        def during_gc():
+            in_gc.append(True)
+            yield
+            in_gc.pop()
+
+        def counted(name, original):
+            def wrapper(self, *args, **kwargs):
+                built.extend([name] * len(in_gc))
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            BloomFilter, "__init__", counted("bloom", BloomFilter.__init__)
+        )
+        monkeypatch.setattr(
+            ColumnarRecipe,
+            "unique_fingerprints",
+            counted("key set", ColumnarRecipe.unique_fingerprints),
+        )
+        _, rounds = self.rotate(tiny_config, monkeypatch, during_gc, gc_mode=gc_mode)
+        assert rounds == self.PINNED[True][1]  # five real GC cycles ran
+        assert built == []

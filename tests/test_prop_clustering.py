@@ -12,6 +12,7 @@ from repro.core.packing import (
 )
 from repro.dedup.keys import storage_key
 from repro.hashing.fingerprints import synthetic_fingerprint
+from repro.index.columnar import ColumnarRecipe
 from repro.index.recipe import Recipe, RecipeStore
 from repro.model import ChunkRef
 
@@ -88,6 +89,85 @@ def test_distinct_clusters_have_distinct_ownership(world):
     assert len(ownerships) == len(set(ownerships))
 
 
+@given(
+    world=worlds,
+    threshold=st.sampled_from([0, 4]),
+    order=st.randoms(use_true_random=False),
+    involved=st.sets(st.integers(min_value=0, max_value=4)),
+)
+@settings(max_examples=150, deadline=None)
+def test_id_kernel_matches_predicate_path(world, threshold, order, involved):
+    """Set algebra over interned ids ≡ one predicate probe per chunk: same
+    clusters in the same order (owners, chunks, denial) and the same probe
+    and build accounting, on any segment — shuffled, with repeated chunks,
+    with chunks no involved backup references."""
+    n, m, memberships = world
+    recipes = RecipeStore()
+    intern = recipes.interner.intern
+    for backup_id in range(n):
+        assert recipes.new_backup_id() == backup_id
+        members = [key_ref(i) for i in sorted(memberships[backup_id])]
+        order.shuffle(members)
+        recipes.add(
+            ColumnarRecipe(
+                backup_id,
+                recipes.interner,
+                [intern(ref.fp) for ref in members],
+                [ref.size for ref in members],
+            )
+        )
+    chunks = [key_ref(i) for i in range(m)] + [key_ref(0)] * (m % 3)
+    order.shuffle(chunks)
+    ids = [intern(ref.fp) for ref in chunks]
+    involved = tuple(sorted(b for b in involved if b < n))
+    config = GCCDFConfig(split_denial_threshold=threshold)
+
+    def run(valid_ids):
+        checker = ReferenceChecker(recipes, config)
+        analyzer = Analyzer(checker, config)
+        clusters = analyzer.cluster(chunks, involved, valid_ids=valid_ids)
+        return (
+            [(c.ownership, c.chunks, c.denied) for c in clusters],
+            (analyzer.last_probe_count, analyzer.last_leaf_count, checker.build_ops),
+            checker.filters_built,
+        )
+
+    by_id, by_id_counts, by_id_built = run(ids)
+    by_key, by_key_counts, by_key_built = run(None)
+    assert by_id == by_key
+    assert by_id_counts == by_key_counts
+    # Each run took the path it was meant to exercise.
+    assert by_id_built == 0 and by_key_built == len(involved)
+
+
+def greedy_pack_reference(clusters, num_backups):
+    """The pre-bitmask ``greedy_pack``, frozen verbatim: O(n²) set builds,
+    suffix walk, ``max`` over the full four-part key."""
+    if not clusters:
+        return []
+    remaining = list(clusters)
+    first = max(
+        remaining,
+        key=lambda c: (len(c.ownership), c.num_chunks, tuple(-b for b in c.ownership)),
+    )
+    remaining.remove(first)
+    ordered = [first]
+    while remaining:
+        last = ordered[-1].ownership
+        best = max(
+            remaining,
+            key=lambda c: (
+                ownership_similarity(last, c.ownership, num_backups),
+                matching_suffix_length(last, c.ownership),
+                len(c.ownership),
+                c.ownership,
+            ),
+        )
+        remaining.remove(best)
+        ordered.append(best)
+    return ordered
+
+
 ownerships_strategy = st.lists(
     st.sets(st.integers(min_value=0, max_value=8), min_size=0, max_size=6).map(
         lambda s: tuple(sorted(s))
@@ -103,6 +183,28 @@ def test_greedy_pack_is_permutation(ownerships):
     clusters = [Cluster(ownership=o, chunks=[key_ref(i)]) for i, o in enumerate(ownerships)]
     ordered = greedy_pack(clusters, num_backups=9)
     assert sorted(id(c) for c in ordered) == sorted(id(c) for c in clusters)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            # Few distinct backups and sizes: similarity, suffix and
+            # whole-key ties (equal ownerships) are the common case.
+            st.sets(st.sampled_from([2, 3, 5, 8, 13]), max_size=5),
+            st.integers(min_value=1, max_value=2),
+        ),
+        max_size=14,
+    )
+)
+@settings(max_examples=300)
+def test_greedy_pack_matches_frozen_reference(specs):
+    clusters = [
+        Cluster(ownership=tuple(sorted(owners)), chunks=[key_ref(i)] * size)
+        for i, (owners, size) in enumerate(specs)
+    ]
+    ordered = greedy_pack(list(clusters), num_backups=5)
+    reference = greedy_pack_reference(list(clusters), num_backups=5)
+    assert [id(c) for c in ordered] == [id(c) for c in reference]
 
 
 @given(ownerships_strategy)

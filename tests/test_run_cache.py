@@ -48,6 +48,15 @@ class TestKeyCorrectness:
         assert _key(packing="random") != base
         assert _key(split_denial_threshold=0) != base
 
+    def test_reference_check_mode_in_key(self):
+        """A warm cache written while Bloom checks were the default must
+        never be served for the exact-check default (and vice versa): the
+        resolved config carries the mode, so no format bump is needed."""
+        exact, bloom = _key(exact_reference_check=True), _key(exact_reference_check=False)
+        assert exact != bloom
+        assert _key() in (exact, bloom)
+        assert _key(exact_reference_check=False, bloom_fp_rate=0.01) != bloom
+
     def test_distinct_vc_table_distinct_keys(self):
         assert _key(vc_table="bloom") != _key(vc_table="exact")
         # 'exact' is the default, so passing it explicitly resolves to the
