@@ -36,7 +36,7 @@ gc.cycle           committed  **roll forward** — finish the selective purge
                               of the cycle's deleted-recipe snapshot
 gc.cycle           open       **resume** — repair the persistent cycle state
                               in place (scrub moves whose repoint did not
-                              survive, drop the placement memo, rewind the
+                              survive, drop the mark's probe memo, rewind the
                               sweep frontier past reclaimed sources) and
                               leave the intent *open*: the incremental
                               engine resumes the cycle from the journal
@@ -305,8 +305,15 @@ def recover(store, index, recipes, hybrid=None) -> RecoveryReport:
             ]
             for fp in stale_moves:
                 del state.migrated[fp]
-            # Placements may have been repaired; the probe memo is stale.
-            state.resolved.clear()
+            # Drop the mark scan's probe memo — and nothing else of it.
+            # Re-probing is idempotent (an id lands in the member set it
+            # is already in), and no member can be stale: while a mark is
+            # in flight the only index writers are whole ingests, which
+            # insert new keys into new containers, and the rollback of a
+            # torn one above, which removes only keys that ingest itself
+            # inserted — before any later mark step could have probed them.
+            if state.mark is not None:
+                state.mark.resolved.clear()
             if state.phase in ("sweep", "finalize"):
                 # Rewind the sweep frontier: already-reclaimed sources are
                 # gone from the store, everything else re-partitions (the

@@ -6,7 +6,9 @@ budgeted increments so an always-on fleet can interleave collection with
 foreground ingest/restore traffic:
 
 * **Mark** proceeds ``mark_recipes`` recipes per step over snapshots of the
-  deleted/live recipe populations taken when the cycle begins.
+  deleted/live recipe populations taken when the cycle begins — the same
+  interned-id-set kernel (:class:`~repro.gc.mark.MarkScan`) the
+  stop-the-world mark drives in one go; this module owns no per-chunk loop.
 * **Sweep** proceeds ``sweep_containers`` sources per step (classic scan
   order) or one GCCDF segment per step; the copy-forward writer is shared
   across increments, so destinations fill in per-destination slices exactly
@@ -18,7 +20,7 @@ foreground ingest/restore traffic:
 
 The whole cycle runs under one ``gc.cycle`` intent in the device's
 :class:`~repro.faults.IntentJournal` whose payload *is* the persistent
-:class:`GCCycleState` (mark frontier, candidate set, copy-forward progress).
+:class:`GCCycleState` (mark scan, sweep frontier, copy-forward progress).
 A crash at any increment boundary (the new ``gc.increment`` crash point)
 recovers to a verifier-clean state — recovery repairs the cycle state in
 place and leaves the intent **open**, so the cycle *resumes* from the
@@ -37,8 +39,8 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
 from repro.dedup.hybrid import HybridState, forced_containers, rededup_slice
-from repro.errors import ConfigError
-from repro.gc.mark import RECIPE_ENTRY_BYTES, MarkResult
+from repro.errors import ConfigError, GCError
+from repro.gc.mark import RECIPE_ENTRY_BYTES, MarkResult, MarkScan
 from repro.gc.migration import (
     JournaledCopyForward,
     MigrationResult,
@@ -50,7 +52,6 @@ from repro.gc.migration import (
     sweep_source,
 )
 from repro.gc.report import GCReport
-from repro.gc.vc_table import make_vc_table
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
 from repro.simio.disk import DiskModel
@@ -89,7 +90,7 @@ class GCCycleState:
 
     Lives as the (mutable) payload of the cycle's open ``gc.cycle`` journal
     intent — the NVRAM model — so it survives a crash verbatim and carries
-    the mark frontier, candidate set, and copy-forward progress across
+    the mark scan, sweep frontier, and copy-forward progress across
     increments and across recovery.
     """
 
@@ -113,14 +114,10 @@ class GCCycleState:
     #: 0 = deleted-recipe pass, 1 = live-recipe pass.
     mark_pass: int = 0
     mark_pos: int = 0
-    candidate_keys: set = field(default_factory=set)
-    gs_set: set = field(default_factory=set)
-    rrt_sets: dict = field(default_factory=dict)
-    #: fp → placement memo (one index probe per unique key, as in the
-    #: stop-the-world kernels).  Dropped by recovery: placements may have
-    #: been repaired.
-    resolved: dict = field(default_factory=dict)
-    live_keys: set = field(default_factory=set)
+    #: The resumable scan (candidate/live id sets, GS set, RRT, probe
+    #: memo); exists from the start of the mark phase until it completes.
+    #: Recovery clears its probe memo only.
+    mark: MarkScan | None = None
     #: Keys referenced by recipes ingested while the mark was in flight;
     #: folded into the VC table when the mark completes.
     barrier_keys: set = field(default_factory=set)
@@ -182,9 +179,12 @@ class _CycleCopyForward(JournaledCopyForward):
         # Live-reference barrier: an interleaved ingest may have revived a
         # chunk that was invalid when this source was partitioned.  The VC
         # table only ever grows, so re-checking here is sufficient — and in
-        # a drained cycle it never fires (nothing is interleaved).
-        vc_table = self.ctx.mark.vc_table
-        if any(fp in vc_table for fp in invalid_fps):
+        # a drained cycle it never fires (nothing is interleaved).  Same
+        # predicate as ``partition_members``: a key the index no longer
+        # holds (a coalesced hybrid duplicate) is dead whatever the table
+        # says — without the guard such a key re-queues its source forever.
+        vc_table, index = self.ctx.mark.vc_table, self.ctx.index
+        if any(fp in vc_table and fp in index for fp in invalid_fps):
             self._state.requeue.append(container_id)
             return
         super()._reclaim(container_id, invalid_fps, invalid_bytes)
@@ -269,10 +269,10 @@ class IncrementalGC:
             # entirely, but coalesced containers from a recovered slice
             # still reach the mark's GS list.
             state.rededup_queue = sorted(self.hybrid.candidates)
-            if state.rededup_queue:
-                state.phase = "rededup"
-            else:
-                state.gs_set |= forced_containers(self.hybrid, self.store)
+        if state.rededup_queue:
+            state.phase = "rededup"
+        else:
+            self._start_mark(state)
         self._state = state
         self._record = self.journal.begin("gc.cycle", state=state)
 
@@ -281,15 +281,29 @@ class IncrementalGC:
 
         The stop-the-world-compatible entry point: performs the
         byte-identical I/O sequence of ``MarkSweepGC.collect()`` when no
-        traffic is interleaved.
+        traffic is interleaved.  Nothing can revive a chunk while it
+        drains, so a finalize → sweep bounce that re-queues the same
+        sources twice with nothing reclaimed in between would repeat
+        forever: that raises :class:`~repro.errors.GCError` instead.
         """
         self._sync()
         if self._record is None:
             self.begin()
+        state = self._state
+        last_bounce = None
         while True:
+            finalizing = state.phase == "finalize"
             report = self.step()
             if report is not None:
                 return report
+            if finalizing:  # no report: finalize bounced back to the sweep
+                bounce = (sorted(state.requeue), len(state.sweep_result.reclaimed_ids))
+                if bounce == last_bounce:
+                    raise GCError(
+                        f"GC cycle {state.round_index} cannot drain: sources "
+                        f"{bounce[0]} are re-queued again with nothing reclaimed"
+                    )
+                last_bounce = bounce
 
     def step(self) -> GCReport | None:
         """Run one budgeted increment; returns the report when the cycle
@@ -427,46 +441,49 @@ class IncrementalGC:
                 pending=len(hybrid.candidates),
             )
         if state.rededup_pos >= len(queue):
-            state.gs_set |= forced_containers(hybrid, self.store)
-            state.phase = "mark"
+            self._start_mark(state)
 
     # -- mark ----------------------------------------------------------
+
+    def _start_mark(self, state: GCCycleState) -> None:
+        hybrid = self.hybrid
+        extra_gs = forced_containers(hybrid, self.store) if hybrid is not None else ()
+        state.mark = MarkScan(self.config, self.index, self.recipes, extra_gs)
+        state.phase = "mark"
 
     def _mark_increment(self, state: GCCycleState) -> None:
         """Scan up to ``budget.mark_recipes`` recipes of the cycle snapshot.
 
-        Per-entry kernel (works for both recipe representations) with the
-        stop-the-world probe discipline: one index probe per unique key,
-        memoised across both passes, and the ``gc.mark`` crash point between
-        them — so a drained cycle is read- and probe-identical to
-        :class:`~repro.gc.mark.MarkStage`.
+        Drives the cycle's :class:`~repro.gc.mark.MarkScan` exactly as
+        :class:`~repro.gc.mark.MarkStage` does — same recipe order, same
+        reads, one index probe per unique key across both passes, the
+        ``gc.mark`` crash point between them — so a drained cycle is read-
+        and probe-identical to the stop-the-world mark.
         """
+        scan = state.mark
         remaining = self.budget.mark_recipes
         with self.disk.phase("gc.mark") as ph:
             while remaining > 0:
-                if state.mark_pass == 0:
-                    if state.mark_pos >= len(state.deleted_ids):
-                        # Deleted pass complete (idempotent on re-entry:
-                        # the RRT skeleton is rebuilt from gs_set).
-                        self.disk.crash_point(
-                            "gc.mark", gs_containers=len(state.gs_set)
-                        )
-                        state.rrt_sets = {cid: set() for cid in state.gs_set}
-                        state.mark_pass = 1
-                        state.mark_pos = 0
-                        continue
-                    recipe = self.recipes.get(state.deleted_ids[state.mark_pos])
-                    self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                    self._scan_deleted(state, recipe)
+                snapshot = state.live_ids if state.mark_pass else state.deleted_ids
+                batch = snapshot[state.mark_pos : state.mark_pos + remaining]
+                if batch:
+                    recipes = [self.recipes.get(backup_id) for backup_id in batch]
+                    for recipe in recipes:
+                        self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
+                    (scan.scan_live if state.mark_pass else scan.scan_deleted)(recipes)
+                    state.mark_pos += len(batch)
+                    remaining -= len(batch)
+                elif state.mark_pass == 0:
+                    # Deleted pass complete (re-entry after a crash here
+                    # just fires the point again: nothing was mutated).
+                    self.disk.crash_point(
+                        "gc.mark", gs_containers=len(scan.gs_members)
+                    )
+                    state.mark_pass = 1
+                    state.mark_pos = 0
                 else:
-                    if state.mark_pos >= len(state.live_ids):
-                        self._complete_mark(state)
-                        break
-                    recipe = self.recipes.get(state.live_ids[state.mark_pos])
-                    self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                    self._scan_live(state, recipe)
-                state.mark_pos += 1
-                remaining -= 1
+                    self._complete_mark(state)
+                    break
             ph.annotate(
                 round_index=state.round_index,
                 mark_pass=state.mark_pass,
@@ -474,71 +491,14 @@ class IncrementalGC:
             )
         state.mark_seconds += ph.delta.read_seconds
 
-    def _scan_deleted(self, state: GCCycleState, recipe) -> None:
-        candidate_keys = state.candidate_keys
-        resolved = state.resolved
-        index_lookup = self.index.lookup
-        for entry in recipe.entries:
-            fp = entry.fp
-            if fp in candidate_keys:
-                continue
-            candidate_keys.add(fp)
-            placement = resolved[fp] = index_lookup(fp)
-            if placement is not None:
-                state.gs_set.add(placement.container_id)
-
-    def _scan_live(self, state: GCCycleState, recipe) -> None:
-        missing = object()
-        resolved = state.resolved
-        resolved_get = resolved.get
-        index_lookup = self.index.lookup
-        live_keys = state.live_keys
-        rrt_sets = state.rrt_sets
-        backup_id = recipe.backup_id
-        seen_containers: set[int] = set()
-        for entry in recipe.entries:
-            fp = entry.fp
-            live_keys.add(fp)
-            placement = resolved_get(fp, missing)
-            if placement is missing:
-                placement = resolved[fp] = index_lookup(fp)
-            if placement is None:
-                continue
-            container_id = placement.container_id
-            if container_id in rrt_sets and container_id not in seen_containers:
-                seen_containers.add(container_id)
-                rrt_sets[container_id].add(backup_id)
-
     def _complete_mark(self, state: GCCycleState) -> None:
-        vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
-        vc_table.update(state.live_keys)
-        if state.barrier_keys:
-            vc_table.update(state.barrier_keys)
-            state.barrier_keys.clear()
-        # Columnar services hand the sweep kernels the live-id set: every
-        # snapshot live key maps through the interner (barrier keys are
-        # deliberately left out — they are VC members, and live_ids only
-        # ever needs to be a *subset* of the table's membership).
-        live_ids = None
-        if self.recipes.all_columnar():
-            id_map = self.recipes.interner.id_map()
-            live_ids = frozenset(
-                chunk_id
-                for chunk_id in map(id_map.get, state.live_keys)
-                if chunk_id is not None
-            )
-        state.mark_result = MarkResult(
-            vc_table=vc_table,
-            gs_list=tuple(sorted(state.gs_set)),
-            rrt={cid: tuple(sorted(b)) for cid, b in state.rrt_sets.items()},
-            candidate_keys=len(state.candidate_keys),
-            mark_seconds=0.0,  # accumulated in state.mark_seconds instead
-            live_ids=live_ids,
-        )
-        # The scan working sets are no longer needed; the memo must not
-        # outlive the mark (the sweep mutates placements).
-        state.live_keys = set()
-        state.resolved = {}
+        # mark_seconds accumulates in the state, not the result.  Barrier
+        # keys join the VC table only: ``live_ids`` need only be a *subset*
+        # of the table's membership.
+        mark = state.mark_result = state.mark.finish()
+        mark.vc_table.update(state.barrier_keys)
+        state.barrier_keys.clear()
+        state.mark = None  # must not outlive the mark: the sweep moves chunks
         state.phase = "sweep"
         self._prepare_sweep(state)
 
@@ -547,10 +507,12 @@ class IncrementalGC:
         if self._is_gccdf:
             # Pin reclaimable ids into segment batches (the Preprocessor's
             # work list, ids only); contents re-partition at processing time.
-            work = [
-                cid
+            parts = (
+                partition_members(self.store, self.index, self.recipes, mark, cid)
                 for cid in mark.gs_list
-                if partition_container_ids(self, mark, cid)[1] > 0
+            )
+            work = [
+                cid for cid, part in zip(mark.gs_list, parts) if part.invalid_bytes > 0
             ]
             size = self.config.gccdf.segment_size
             state.segment_batches = [
@@ -780,22 +742,6 @@ class IncrementalGC:
         self._cf = None
         self._analyze_stage = None
         return report
-
-
-def partition_container_ids(
-    engine: IncrementalGC, mark: MarkResult, container_id: int
-) -> tuple[list, int]:
-    """Partition one container against a mark result without a sweep context
-    (used while pinning the GCCDF work list).
-
-    Same kernels (and therefore the same index-membership guard) as
-    :func:`~repro.gc.migration.partition`: a key the index no longer holds
-    (a coalesced hybrid duplicate) is invalid whatever the VC table says.
-    """
-    part = partition_members(
-        engine.store, engine.index, engine.recipes, mark, container_id
-    )
-    return part.valid, part.invalid_bytes
 
 
 @dataclass

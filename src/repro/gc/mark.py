@@ -14,29 +14,36 @@ Mark I/O is charged as metadata reads: one read per recipe, sized at
 ``RECIPE_ENTRY_BYTES`` per entry (a fingerprint plus size/offset fields, the
 on-disk recipe record of container-based systems).
 
-Two kernels implement the traversal.  When the recipe store is
-homogeneously columnar (the default pipeline representation), each recipe's
-id column collapses to a set of dense interned ids and the whole traversal
-becomes C-level set algebra — candidacy, liveness, the unresolved-probe
-frontier and the per-recipe RRT contribution are set unions, differences
-and intersections, with no Python-level work per chunk occurrence.  Legacy
-tuple recipes take the original per-entry kernel.  Both produce identical
+The traversal runs on **interned-id sets** (:class:`MarkScan`): no
+Python-level work per chunk occurrence, and resumable — :class:`MarkStage`
+feeds it each pass as one slice, the incremental engine
+(:mod:`repro.gc.incremental`) a few recipes per step.  Stop-the-world marks
+over legacy tuple recipes keep the original per-entry loop
+(:meth:`MarkStage._run_legacy`).  Both produce identical
 :class:`MarkResult`\\ s and identical index probe statistics.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.config import SystemConfig
 from repro.gc.vc_table import VCTable, make_vc_table
+from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import RecipeStore
+from repro.index.recipe import AnyRecipe, RecipeStore
 from repro.simio.disk import DiskModel
 
 #: On-disk size of one recipe record: 24-byte storage key + 8 bytes of
 #: size/flags, matching the paper's ~800 B per 100-recipe RRT entry estimate.
 RECIPE_ENTRY_BYTES = 32
+
+#: A recipe's RRT rows cost ~0.2-0.45 us per GS container by ``isdisjoint``
+#: and ~0.05 us per id by dict probe (benchmarks/e2e rotations and fleets):
+#: above this many ids per GS container the per-container test is cheaper.
+RRT_PROBES_PER_CONTAINER = 8
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,131 @@ class MarkResult:
         )
 
 
+class MarkScan:
+    """Resumable mark traversal over interned-id sets.
+
+    Feed it the deleted recipes (:meth:`scan_deleted`), then the live ones
+    (:meth:`scan_live`), a slice at a time — any slicing, from one recipe
+    to the whole population — then :meth:`finish`.  A slice costs one
+    C-level union of its recipes' id sets, one set difference against the
+    probe memo, one ``lookup_many`` for what is left, and its recipes' RRT
+    rows — so the index sees one probe per unique key across both passes
+    (the legacy memo's count, in dense-id instead of first-occurrence
+    order; the index is read-only during mark, so order is unobservable).
+    A recipe references a GS container iff one of its ids is *placed*
+    there, and a slice's ids are all resolved before its RRT rows are
+    taken, so where the traversal is cut changes nothing.
+
+    The collections below are the whole state; the incremental engine
+    keeps the object in its journaled cycle state so a mark survives a
+    crash.  Legacy tuple recipes enter by interning their keys (the
+    interner is append-only, so ids minted here stay valid).
+    """
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        index: FingerprintIndex,
+        recipes: RecipeStore,
+        extra_gs: Iterable[int] = (),
+    ):
+        self.config = config
+        self.index = index
+        self.recipes = recipes
+        #: GS container id → resolved chunk ids placed in it; its key set is
+        #: the GS set.  ``extra_gs`` seeds containers regardless of
+        #: deletions (the hybrid rededup pass queues containers whose
+        #: coalesced duplicate bytes only the sweep can reclaim), before
+        #: pass 1, so pass 2 builds their RRT rows like any other's.
+        self.gs_members: dict[int, set[int]] = {cid: set() for cid in extra_gs}
+        #: The same relation by id: resolved chunk id → its GS container.
+        self.gs_of: dict[int, int] = {}
+        #: Ids referenced by deleted recipes (candidates for invalidation).
+        self.candidate_ids: set[int] = set()
+        #: Ids referenced by live recipes.
+        self.live_ids: set[int] = set()
+        #: Probe memo: ids already looked up.  Crash recovery clears it
+        #: (and nothing else): re-probing an id only re-records the
+        #: placement it already has.
+        self.resolved: set[int] = set()
+        #: GS container id → live backup ids referencing it.
+        self.rrt_sets: dict[int, set[int]] = defaultdict(set)
+
+    def scan_deleted(self, recipes: Sequence[AnyRecipe]) -> None:
+        """Pass 1, one slice: containers holding these deleted recipes'
+        chunks may hold garbage — they join the GS set."""
+        ids = set().union(*map(self._ids, recipes))
+        self._resolve(ids, grow_gs=True)
+        self.candidate_ids |= ids
+
+    def scan_live(self, recipes: Sequence[AnyRecipe]) -> None:
+        """Pass 2, one slice: liveness plus these recipes' RRT rows.  Only
+        containers already in the GS set matter — live chunks elsewhere are
+        irrelevant to the sweep."""
+        id_sets = list(map(self._ids, recipes))
+        union = set().union(*id_sets)
+        self._resolve(union, grow_gs=False)
+        self.live_ids |= union
+        gs_members, gs_of, rrt_sets = self.gs_members, self.gs_of, self.rrt_sets
+        for recipe, ids in zip(recipes, id_sets):
+            if len(ids) > RRT_PROBES_PER_CONTAINER * len(gs_members):
+                # Few GS containers (a rotation: each live backup shares
+                # chunks with most): ask each, stopping at the first hit.
+                isdisjoint = ids.isdisjoint
+                containers = [cid for cid, m in gs_members.items() if not isdisjoint(m)]
+            else:
+                # Many (a fleet: most are other tenants', and proving two
+                # sets disjoint walks the smaller one): map the ids.
+                containers = set(map(gs_of.get, ids))
+                containers.discard(None)
+            for container_id in containers:
+                rrt_sets[container_id].add(recipe.backup_id)
+
+    def finish(self, mark_seconds: float = 0.0) -> MarkResult:
+        # The VC table is populated once per unique live key; both
+        # implementations (exact set, Bloom) are idempotent under add, so
+        # it equals the per-occurrence table of the legacy loop.
+        keys = self.recipes.interner.keys()
+        vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
+        vc_table.update(map(keys.__getitem__, self.live_ids))
+        gs_list = tuple(sorted(self.gs_members))
+        return MarkResult(
+            vc_table=vc_table,
+            gs_list=gs_list,
+            rrt={cid: tuple(sorted(self.rrt_sets.get(cid, ()))) for cid in gs_list},
+            candidate_keys=len(self.candidate_ids),
+            mark_seconds=mark_seconds,
+            live_ids=frozenset(self.live_ids) if self.recipes.all_columnar() else None,
+        )
+
+    def _ids(self, recipe: AnyRecipe) -> "frozenset[int] | set[int]":
+        if isinstance(recipe, ColumnarRecipe):
+            return recipe.unique_ids()
+        return set(map(self.recipes.interner.intern, recipe.fingerprints()))
+
+    def _resolve(self, ids: set[int], grow_gs: bool) -> None:
+        """Probe the index for the ids no earlier slice resolved and record
+        those placed in a GS container (``grow_gs``: in any container,
+        which thereby joins the GS set)."""
+        fresh = list(ids - self.resolved)
+        if not fresh:
+            return
+        self.resolved.update(fresh)
+        gs_members, gs_of = self.gs_members, self.gs_of
+        keys = self.recipes.interner.keys()
+        placements = self.index.lookup_many(list(map(keys.__getitem__, fresh)))
+        for chunk_id, placement in zip(fresh, placements):
+            if placement is not None:
+                container_id = placement.container_id
+                members = gs_members.get(container_id)
+                if members is None:
+                    if not grow_gs:
+                        continue
+                    members = gs_members[container_id] = set()
+                members.add(chunk_id)
+                gs_of[chunk_id] = container_id
+
+
 class MarkStage:
     """Builds :class:`MarkResult` from the recipe store."""
 
@@ -85,11 +217,8 @@ class MarkStage:
         self.index = index
         self.recipes = recipes
         self.disk = disk
-        #: Containers force-fed onto the GS list regardless of deletions —
-        #: the hybrid rededup pass queues containers whose coalesced
-        #: duplicate bytes only the sweep can reclaim.  Seeded before
-        #: pass 1 so pass 2 builds their RRT rows exactly as it would for
-        #: deletion-selected containers.
+        #: Containers force-fed onto the GS list regardless of deletions
+        #: (see :attr:`MarkScan.gs_members`).
         self.extra_gs = frozenset(extra_gs)
 
     def run(self) -> MarkResult:
@@ -97,107 +226,32 @@ class MarkStage:
             return self._run_columnar()
         return self._run_legacy()
 
-    # ------------------------------------------------------------------
-    # Columnar kernel: array sweeps over the dense chunk-id space
-    # ------------------------------------------------------------------
-
     def _run_columnar(self) -> MarkResult:
-        interner = self.recipes.interner
-        keys = interner.keys()
-        index_lookup_many = self.index.lookup_many
-        # Dense-id bookkeeping, manipulated almost entirely through C-level
-        # set operations: per recipe the id column collapses to a set once
-        # (``set(array)`` iterates in C); candidacy, liveness, the
-        # unresolved frontier, and the RRT contribution are set algebra over
-        # whole *populations*, not per recipe.  Each pass unions its
-        # recipes' id sets, subtracts what is already resolved, and probes
-        # the index once for the whole frontier — the same once-per-unique-
-        # key probe count (and counter accounting) as the legacy memo, just
-        # in dense-id order instead of first-occurrence order.  Batching is
-        # unobservable: the index is read-only during mark, and the RRT is
-        # order-independent (a recipe references a GS container iff any of
-        # its chunks is *placed* there, a pure function of the frozen index
-        # state — the legacy kernel's per-entry adds compute exactly that).
-        #: GS container id → resolved chunk ids placed in it.  A recipe
-        #: references a GS container iff its id set intersects the
-        #: container's member set, which ``isdisjoint`` answers at C speed
-        #: with early exit — so RRT incidence costs per *container*, not
-        #: per chunk occurrence.
-        gs_members: dict[int, set[int]] = {cid: set() for cid in self.extra_gs}
-
-        def resolve(fresh: "set[int]", create: bool) -> None:
-            """Probe the index for a frontier of ids; bucket the placed ones
-            into their containers' member sets.  Pass 1 creates member sets
-            on demand (``gs_members`` doubles as the GS container set);
-            pass 2 only feeds containers already on the GS list — live
-            chunks elsewhere are irrelevant to the sweep."""
-            fresh_ids = list(fresh)
-            placements = index_lookup_many(list(map(keys.__getitem__, fresh_ids)))
-            for chunk_id, placement in zip(fresh_ids, placements):
-                if placement is not None:
-                    members = gs_members.get(placement.container_id)
-                    if members is None:
-                        if not create:
-                            continue
-                        members = gs_members[placement.container_id] = set()
-                    members.add(chunk_id)
-
+        """One :class:`MarkScan`, each pass driven as a single slice."""
+        scan = MarkScan(self.config, self.index, self.recipes, self.extra_gs)
         with self.disk.phase("gc.mark") as ph:
-            # Pass 1 — deleted recipes: find containers that may hold garbage.
-            deleted_sets = []
-            for recipe in self.recipes.deleted_recipes():
+            deleted = list(self.recipes.deleted_recipes())
+            for recipe in deleted:
                 self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                deleted_sets.append(recipe.unique_ids())
-            candidate_ids: set[int] = set().union(*deleted_sets) if deleted_sets else set()
-            resolve(candidate_ids, create=True)
-            gs_set: set[int] = set(gs_members)
+            scan.scan_deleted(deleted)
 
             # Mark is read-only, so a crash here needs no repair — recovery
             # simply aborts the round and the next GC re-marks from scratch.
-            self.disk.crash_point("gc.mark", gs_containers=len(gs_set))
+            self.disk.crash_point("gc.mark", gs_containers=len(scan.gs_members))
 
-            # Pass 2 — live recipes: liveness sets and RRT in one traversal.
-            live_recipes = list(self.recipes.live_recipes())
-            live_sets = []
-            for recipe in live_recipes:
+            live = list(self.recipes.live_recipes())
+            for recipe in live:
                 self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                live_sets.append(recipe.unique_ids())
-            live_ids: set[int] = set().union(*live_sets) if live_sets else set()
-            fresh = live_ids - candidate_ids
-            if fresh:
-                resolve(fresh, create=False)
-            rrt_sets: dict[int, set[int]] = {container_id: set() for container_id in gs_set}
-            gs_items = list(gs_members.items())
-            for recipe, ids_set in zip(live_recipes, live_sets):
-                backup_id = recipe.backup_id
-                isdisjoint = ids_set.isdisjoint
-                for container_id, members in gs_items:
-                    if not isdisjoint(members):
-                        rrt_sets[container_id].add(backup_id)
-
-            # Populate the VC table from the liveness set: once per unique
-            # live key.  The legacy kernel adds per occurrence, but both VC
-            # implementations (exact set, Bloom) are idempotent under add,
-            # so the resulting table is identical.
-            vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
-            vc_table.update(map(keys.__getitem__, live_ids))
+            scan.scan_live(live)
 
             ph.annotate(
-                candidate_keys=len(candidate_ids),
-                gs_containers=len(gs_set),
+                candidate_keys=len(scan.candidate_ids),
+                gs_containers=len(scan.gs_members),
             )
-
-        return MarkResult(
-            vc_table=vc_table,
-            gs_list=tuple(sorted(gs_set)),
-            rrt={cid: tuple(sorted(backups)) for cid, backups in rrt_sets.items()},
-            candidate_keys=len(candidate_ids),
-            mark_seconds=ph.delta.read_seconds,
-            live_ids=frozenset(live_ids),
-        )
+        return scan.finish(ph.delta.read_seconds)
 
     # ------------------------------------------------------------------
-    # Legacy kernel: per-entry traversal over tuple recipes
+    # Legacy loop: per-entry traversal over tuple recipes
     # ------------------------------------------------------------------
 
     def _run_legacy(self) -> MarkResult:

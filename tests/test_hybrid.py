@@ -26,10 +26,10 @@ from repro.backup.verify import verify_service
 from repro.config import SystemConfig
 from repro.dedup.hybrid import repoint_recipe
 from repro.dedup.keys import logical_fp
-from repro.errors import ConfigError, SimulatedCrash
+from repro.errors import ConfigError, GCError, SimulatedCrash
 from repro.faults import FaultPlan, recover_service
 from repro.fleet.topology import FleetConfig
-from repro.gc.incremental import GCBudget
+from repro.gc.incremental import GCBudget, IncrementalGC, _CycleCopyForward
 from repro.index.columnar import ColumnarRecipe
 from repro.index.recipe import Recipe, RecipeStore
 from repro.model import ChunkRef
@@ -327,3 +327,94 @@ class TestRededupCrashRecovery:
         assert not service.hybrid.candidates
         assert verify_service(service).errors == []
         assert len(service.store.journal) == 0
+
+
+def step_capped(monkeypatch, cap: int) -> list:
+    """Fail (instead of hanging the suite) if a cycle takes > ``cap`` steps."""
+    steps = []
+    step = IncrementalGC.step
+
+    def capped(self):
+        steps.append(self._state.phase if self._state else None)
+        assert len(steps) <= cap, f"cycle still in {steps[-1]} after {cap} steps"
+        return step(self)
+
+    monkeypatch.setattr(IncrementalGC, "step", capped)
+    return steps
+
+
+class TestIncrementalHybridDrains:
+    """e2e README "Known defect 1": a backup deleted between ``begin()`` and
+    the rededup slice of a duplicate it references keeps the duplicate's
+    key in its (snapshot-live) recipe, so the key enters the VC table after
+    it left the index.  The reclaim barrier must treat such a key as dead,
+    like the partition does — it used to re-queue the source forever."""
+
+    @pytest.mark.parametrize("approach", ["naive", "gccdf"])
+    def test_backup_deleted_mid_rededup_does_not_pin_its_sources(
+        self, tiny_config, monkeypatch, approach
+    ):
+        steps = step_capped(monkeypatch, 500)
+        service = make_service(
+            approach,
+            tiny_config,
+            ServiceOptions(
+                dedup_mode="hybrid", gc_mode="incremental", gc_budget=SMALL_BUDGET
+            ),
+        )
+        service.ingest(refs("x", range(24)), source="a")
+        doomed = service.ingest(refs("x", range(24)), source="b")  # all deferred
+        service.ingest(refs("x", range(24)), source="b")  # live referer
+        assert len(service.hybrid.candidates) == 24
+        service.gc.begin()  # snapshot: all three live
+        service.delete_backup(doomed.backup_id)
+        report = service.run_gc()
+
+        assert "sweep" in steps and service.hybrid.coalesced == 24
+        assert report.reclaimed_containers > 0
+        service.run_gc()  # purges the deleted backup and its dead references
+        assert not service.hybrid.candidates
+        assert not service.hybrid.pending_sweep
+        assert verify_service(service).errors == []
+        assert len(service.store.journal) == 0
+
+    def test_fleet_shard_finishes(self, monkeypatch):
+        from repro.fleet import run_fleet
+
+        steps = step_capped(monkeypatch, 5000)
+        result = run_fleet(
+            FleetConfig.synthetic(
+                12,
+                1,
+                backups_per_tenant=20,
+                approach="naive",
+                gc_mode="incremental",
+                dedup_mode="hybrid",
+                seed=1,
+            ),
+            jobs=1,
+        )
+        assert steps.count("rededup") > 0 and steps.count("sweep") > 0
+        counters = result.metrics["counters"]
+        assert counters["runtime.hybrid.coalesced"] > 0
+        assert counters["runtime.hybrid.pending"] == 0
+
+    def test_drained_cycle_that_cannot_progress_raises(self, tiny_config, monkeypatch):
+        """Whatever the cause, ``collect()`` must not spin: re-queueing the
+        same sources twice with nothing reclaimed in between is an error."""
+        step_capped(monkeypatch, 500)
+        monkeypatch.setattr(
+            _CycleCopyForward,
+            "_reclaim",
+            lambda self, container_id, fps, nbytes: self._state.requeue.append(
+                container_id
+            ),
+        )
+        service = make_service(
+            "naive", tiny_config, ServiceOptions(gc_mode="incremental")
+        )
+        service.ingest(refs("y", range(24)))
+        service.ingest(refs("y", range(12, 36)))
+        service.delete_oldest(1)
+        with pytest.raises(GCError, match="cannot drain"):
+            service.run_gc()

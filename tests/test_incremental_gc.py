@@ -20,6 +20,7 @@ Three pillars:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -34,7 +35,9 @@ from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
 from repro.errors import ConfigError, SimulatedCrash
 from repro.faults import FaultPlan, recover_service
 from repro.gc.incremental import GCBudget, IncrementalGC
+from repro.gc.mark import MarkScan
 from repro.gc.migration import NaiveMigration
+from repro.index.columnar import RecipeEntriesView
 from repro.workloads.datasets import dataset
 
 from tests.conftest import refs
@@ -353,3 +356,121 @@ class TestEngineSurface:
         service.delete_oldest(1)
         assert service.gc.pending() == 1
         assert service.gc.should_run()
+
+
+# ----------------------------------------------------------------------
+# The mark phase: one id-set kernel (repro.gc.mark.MarkScan) in slices.
+# ----------------------------------------------------------------------
+
+
+def rotated_gccdf(tiny_config, **options) -> DedupBackupService:
+    """Six overlapping backups, the two oldest deleted: a cycle whose mark
+    has two deleted and four live recipes to scan."""
+    service = make_service(
+        "gccdf", tiny_config, ServiceOptions(gc_mode="incremental", **options)
+    )
+    for generation in range(6):
+        service.ingest(refs("mk", range(generation * 7, generation * 7 + 40)))
+    service.delete_oldest(2)
+    return service
+
+
+class TestMarkCrashResume:
+    """A mark interrupted anywhere resumes to the uninterrupted result."""
+
+    ONE_RECIPE = GCBudget(mark_recipes=1)
+
+    @staticmethod
+    def captured_marks(monkeypatch) -> list:
+        marks = []
+        finish = MarkScan.finish
+
+        def spy(self, *args, **kwargs):
+            marks.append(finish(self, *args, **kwargs))
+            return marks[-1]
+
+        monkeypatch.setattr(MarkScan, "finish", spy)
+        return marks
+
+    @pytest.mark.parametrize(
+        "point,occurrence,mark_pass,mark_pos",
+        [
+            ("gc.increment", 1, 0, 1),  # inside the deleted-recipe pass
+            ("gc.mark", 1, 0, 2),  # between the passes
+            ("gc.increment", 3, 1, 1),  # inside the live-recipe pass
+        ],
+    )
+    def test_resumed_mark_equals_uncrashed(
+        self, tiny_config, monkeypatch, point, occurrence, mark_pass, mark_pos
+    ):
+        marks = self.captured_marks(monkeypatch)
+        rotated_gccdf(tiny_config, gc_budget=self.ONE_RECIPE).run_gc()
+        (expected,) = marks
+        marks.clear()
+
+        plan = FaultPlan.single(point, occurrence=occurrence)
+        service = rotated_gccdf(tiny_config, gc_budget=self.ONE_RECIPE, faults=plan)
+        with pytest.raises(SimulatedCrash):
+            service.run_gc()
+        state = service.gc._state
+        assert (state.phase, state.mark_pass, state.mark_pos) == ("mark", mark_pass, mark_pos)
+        scan = state.mark
+        assert scan.resolved
+        survives = ("gs_members", "gs_of", "candidate_ids", "live_ids", "rrt_sets")
+        before = {name: copy.deepcopy(getattr(scan, name)) for name in survives}
+
+        recover_service(service)
+        # Recovery clears exactly the probe memo: ids are re-probed, and
+        # land where they already are.
+        assert state.mark is scan and scan.resolved == set()
+        assert {name: getattr(scan, name) for name in survives} == before
+
+        service.run_gc()  # resumes the journaled cycle
+        (resumed,) = marks
+        keys = service.recipes.interner.keys()
+        assert resumed.gs_list == expected.gs_list
+        assert resumed.rrt == expected.rrt
+        assert resumed.candidate_keys == expected.candidate_keys
+        assert resumed.live_ids == expected.live_ids
+        assert [k in resumed.vc_table for k in keys] == [
+            k in expected.vc_table for k in keys
+        ]
+        assert verify_service(service).errors == []
+        assert len(live_journal(service)) == 0
+
+
+class TestMarkHotPath:
+    def test_mark_phase_never_materialises_chunk_refs(self, tiny_config, monkeypatch):
+        """A default incremental gccdf cycle marks off the recipes' cached
+        id sets: no ``ChunkRef`` view is built during the mark phase."""
+        marking = []
+        increments = []
+        mark_increment = IncrementalGC._mark_increment
+
+        def flagged(self, state):
+            marking.append(True)
+            try:
+                mark_increment(self, state)
+            finally:
+                marking.pop()
+            increments.append(state.mark_pos)
+
+        def forbidden(name):
+            original = getattr(RecipeEntriesView, name)
+
+            def guard(self, *args, **kwargs):
+                assert not marking, f"RecipeEntriesView.{name} during the mark phase"
+                return original(self, *args, **kwargs)
+
+            return guard
+
+        monkeypatch.setattr(IncrementalGC, "_mark_increment", flagged)
+        for name in ("__iter__", "__getitem__"):
+            monkeypatch.setattr(RecipeEntriesView, name, forbidden(name))
+
+        service = rotated_gccdf(tiny_config)
+        assert service.recipes.all_columnar()
+        report = service.run_gc()
+        assert increments and report.backups_purged == 2
+        assert report.reclaimed_containers > 0
+        assert verify_service(service).errors == []
