@@ -17,7 +17,8 @@ from repro.dedup.pipeline import IngestPipeline
 from repro.hashing.bloom import BloomFilter
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.columnar import ColumnarRecipe
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
@@ -51,10 +52,13 @@ def test_ingest_pipeline_rate(benchmark):
     ]
 
     def ingest_once():
+        recipes = RecipeStore()
         pipeline = IngestPipeline(
-            store=ContainerStore(capacity=128 * 1024, disk=DiskModel()),
+            store=ContainerStore(
+                capacity=128 * 1024, disk=DiskModel(), interner=recipes.interner
+            ),
             index=FingerprintIndex(),
-            recipes=RecipeStore(),
+            recipes=recipes,
         )
         return pipeline.ingest(stream)
 
@@ -69,14 +73,17 @@ def _clustering_world(num_backups=20, num_chunks=5000):
         ChunkRef(fp=storage_key(synthetic_fingerprint("c", i)), size=1024)
         for i in range(num_chunks)
     ]
+    ids = [recipes.interner.intern(chunk.fp) for chunk in chunks]
     for backup_id in range(num_backups):
         recipes.new_backup_id()
         start = rng.randint(0, num_chunks // 2)
         length = rng.randint(num_chunks // 4, num_chunks // 2)
         recipes.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(chunks[start : start + length]),
+            ColumnarRecipe(
+                backup_id,
+                recipes.interner,
+                ids[start : start + length],
+                [1024] * len(ids[start : start + length]),
             )
         )
     return recipes, chunks, tuple(range(num_backups))

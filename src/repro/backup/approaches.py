@@ -13,15 +13,10 @@ mfdedup     MFDedup engine (neighbor dedup, volumes, deletion-only GC)
 ==========  =============================================================
 
 Cross-cutting construction knobs travel in one frozen
-:class:`~repro.backup.options.ServiceOptions` value; the individual
-keywords (``tracer``, ``faults``, ``columnar``, ``gc_mode``,
-``gc_budget``) remain as deprecated shims that fold into it.
+:class:`~repro.backup.options.ServiceOptions` value.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 from repro.backup.options import DEFAULT_OPTIONS, ServiceOptions
 from repro.backup.service import BackupService
@@ -44,10 +39,6 @@ POLICY_KNOBS: dict[str, tuple[str, ...]] = {
     "har": ("utilization_threshold",),
     "smr": ("utility_threshold", "rewrite_budget", "segment_containers"),
 }
-
-#: Sentinel distinguishing "keyword not passed" from an explicit value for
-#: the deprecated make_service keywords.
-_UNSET = object()
 
 
 def _validate_policy_kwargs(approach: str, policy_kwargs: dict) -> None:
@@ -74,69 +65,29 @@ def _validate_policy_kwargs(approach: str, policy_kwargs: dict) -> None:
     )
 
 
-def _fold_deprecated_keywords(options: ServiceOptions, legacy: dict) -> ServiceOptions:
-    """Fold deprecated per-keyword options into a ``ServiceOptions`` value."""
-    passed = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if not passed:
-        return options
-    warnings.warn(
-        f"make_service keyword(s) {sorted(passed)} are deprecated; pass "
-        f"options=ServiceOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return options.with_overrides(**passed)
-
-
 def make_service(
     approach: str,
     config: SystemConfig | None = None,
     options: ServiceOptions | None = None,
     seed: int = 0,
-    *,
-    tracer=_UNSET,
-    faults=_UNSET,
-    columnar=_UNSET,
-    gc_mode=_UNSET,
-    gc_budget=_UNSET,
     **policy_kwargs,
 ) -> BackupService:
     """Build a backup service for one approach.
 
     ``options`` carries every cross-cutting knob (see
     :class:`~repro.backup.options.ServiceOptions`): the attached tracer,
-    an armed fault plan, the recipe representation, the GC mode/budget,
-    and the serve layer's read-cache capacities.  ``policy_kwargs`` are
+    an armed fault plan, the GC mode/budget, the dedup mode, and the serve
+    layer's read-cache capacities.  ``policy_kwargs`` are
     forwarded to the approach's rewriting policy (e.g. ``cap=20`` for
     capping, ``utilization_threshold=0.5`` for HAR); unknown policy
     kwargs raise :class:`~repro.errors.ConfigError` naming the approach
     and its valid knobs.  ``seed`` feeds GCCDF's migration RNG.
-
-    The keywords ``tracer``/``faults``/``columnar``/``gc_mode``/
-    ``gc_budget`` are deprecated shims: passing one emits a
-    :class:`DeprecationWarning` and overrides the corresponding
-    ``options`` field.
     """
     config = config or SystemConfig.scaled()
     options = options if options is not None else DEFAULT_OPTIONS
-    options = _fold_deprecated_keywords(
-        options,
-        {
-            "tracer": tracer,
-            "faults": faults,
-            "columnar": columnar,
-            "gc_mode": gc_mode,
-            "gc_budget": gc_budget,
-        },
-    )
     options.validate()
     _validate_policy_kwargs(approach, policy_kwargs)
-    resolved_columnar = options.columnar
-    if resolved_columnar is None:
-        resolved_columnar = os.environ.get("REPRO_HOTPATH", "").lower() != "legacy"
-    service = _build_service(
-        approach, config, seed, options, resolved_columnar, **policy_kwargs
-    )
+    service = _build_service(approach, config, seed, options, **policy_kwargs)
     if options.faults is not None:
         service.disk.faults = options.faults
     return service
@@ -146,10 +97,6 @@ def service_factory(
     approach: str,
     config: SystemConfig | None = None,
     options: ServiceOptions | None = None,
-    *,
-    columnar=_UNSET,
-    gc_mode=_UNSET,
-    gc_budget=_UNSET,
     **policy_kwargs,
 ):
     """Bind an approach, config, and options once; build instances on demand.
@@ -158,17 +105,13 @@ def service_factory(
     hosts (the fleet's shard runner builds one service per shard or per
     tenant) resolve the approach and validate the config a single time, then
     stamp out services that differ only in their seed (GCCDF's migration
-    RNG) and attached tracer.  The ``columnar``/``gc_mode``/``gc_budget``
-    keywords are deprecated shims, exactly as on :func:`make_service`.
+    RNG) and attached tracer.
     """
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}; choose from {APPROACHES}")
     config = config or SystemConfig.scaled()
     config.validate()
     base = options if options is not None else DEFAULT_OPTIONS
-    base = _fold_deprecated_keywords(
-        base, {"columnar": columnar, "gc_mode": gc_mode, "gc_budget": gc_budget}
-    )
     base.validate()
     _validate_policy_kwargs(approach, policy_kwargs)
 
@@ -184,7 +127,6 @@ def _build_service(
     config: SystemConfig,
     seed: int,
     options: ServiceOptions,
-    columnar: bool,
     **policy_kwargs,
 ) -> BackupService:
     tracer = options.tracer
@@ -196,7 +138,6 @@ def _build_service(
         return MFDedupService(
             config=config,
             tracer=tracer,
-            columnar=columnar,
             read_cache_chunks=options.read_cache_chunks,
             **gc_kwargs,
         )
@@ -212,7 +153,6 @@ def _build_service(
             migration=NaiveMigration(),
             name="nondedup",
             tracer=tracer,
-            columnar=columnar,
             **gc_kwargs,
             **serve_kwargs,
         )
@@ -222,7 +162,6 @@ def _build_service(
             migration=GCCDFMigration(seed=seed),
             name="gccdf",
             tracer=tracer,
-            columnar=columnar,
             **gc_kwargs,
             **serve_kwargs,
         )
@@ -232,7 +171,6 @@ def _build_service(
             migration=NaiveMigration(),
             name=approach,
             tracer=tracer,
-            columnar=columnar,
             **gc_kwargs,
             **serve_kwargs,
         )

@@ -1,14 +1,10 @@
 """Service construction options, folded into one frozen dataclass.
 
-:func:`~repro.backup.approaches.make_service` grew one keyword per
-subsystem (tracer, faults, columnar, GC mode and budget, and now the
-serve-layer cache knobs); :class:`ServiceOptions` is that surface as a
-single immutable value that can be validated once, shared across a fleet
-of services, and extended without touching every call-site signature.
-
-The old keywords remain as deprecated shims on ``make_service`` — passing
-one emits a :class:`DeprecationWarning` and folds it into the options
-value — so external callers keep working while in-repo code migrates.
+:class:`ServiceOptions` is the cross-cutting construction surface of
+:func:`~repro.backup.approaches.make_service` (tracer, faults, GC mode and
+budget, dedup mode, the serve-layer cache knobs) as a single immutable
+value that can be validated once, shared across a fleet of services, and
+extended without touching every call-site signature.
 """
 
 from __future__ import annotations
@@ -39,10 +35,9 @@ class ServiceOptions:
 
     ``tracer`` attaches a :class:`~repro.obs.tracer.Tracer` to the
     service's simulated disk (default: the null tracer).  ``faults`` arms
-    a :class:`~repro.faults.FaultPlan` on the disk.  ``columnar`` selects
-    the recipe representation (``None`` defers to the ``REPRO_HOTPATH``
-    environment variable).  ``gc_mode``/``gc_budget`` select stop-the-world
-    versus budgeted incremental GC.  ``dedup_mode`` selects inline
+    a :class:`~repro.faults.FaultPlan` on the disk.
+    ``gc_mode``/``gc_budget`` select stop-the-world versus budgeted
+    incremental GC.  ``dedup_mode`` selects inline
     deduplication (every chunk probes the fingerprint index at ingest)
     versus the hybrid inline/out-of-line mode (ingest classifies with a
     cheap neighbor/Bloom probe and GC coalesces deferred duplicates; see
@@ -54,7 +49,6 @@ class ServiceOptions:
 
     tracer: "Tracer | None" = None
     faults: "FaultPlan | None" = None
-    columnar: bool | None = None
     gc_mode: str = "stw"
     gc_budget: "GCBudget | None" = None
     dedup_mode: str = "inline"

@@ -53,7 +53,6 @@ class DedupBackupService(BackupService):
         dedup_enabled: bool = True,
         name: str = "naive",
         tracer: Tracer | None = None,
-        columnar: bool = True,
         gc_mode: str = "stw",
         gc_budget: GCBudget | None = None,
         dedup_mode: str = "inline",
@@ -72,18 +71,17 @@ class DedupBackupService(BackupService):
         # Explicit None test: an empty TraceRecorder is falsy (len == 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.disk = DiskModel(self.config.disk, tracer=self.tracer)
-        self.store = ContainerStore(self.config.container_size, self.disk)
+        self.recipes = RecipeStore()
+        # Sealed containers carry an interned-id manifest over the same id
+        # space as the recipes, so GC validity partitioning runs as set
+        # algebra.
+        self.store = ContainerStore(
+            self.config.container_size, self.disk, self.recipes.interner
+        )
         # The Bloom negative-lookup guard fronts duplicate-detection probes;
         # it never changes a lookup's result (no false negatives), only
         # skips map accesses for keys that were never inserted.
         self.index = FingerprintIndex(negative_guard=True)
-        self.recipes = RecipeStore()
-        if columnar:
-            # Columnar sweep: sealed containers carry an interned-id
-            # manifest over the same id space as the recipes, so GC
-            # validity partitioning runs as set algebra.  Legacy services
-            # skip the bind and keep manifest-free containers.
-            self.store.bind_interner(self.recipes.interner)
         # Hybrid dedup state exists only when the mode can actually take
         # effect: it needs dedup and is bypassed by rewriting policies (the
         # pipeline dispatch falls back to inline for those), so non-dedup
@@ -98,7 +96,6 @@ class DedupBackupService(BackupService):
             recipes=self.recipes,
             rewriting=rewriting,
             dedup_enabled=dedup_enabled,
-            columnar=columnar,
             hybrid=self.hybrid,
         )
         self.restorer = RestoreEngine(

@@ -42,11 +42,11 @@ from repro.model import ChunkRef
 class ReferenceChecker:
     """Answers "does backup *b* reference this chunk?" (optimization ①).
 
-    :meth:`exact_ids` is a columnar recipe's cached ``unique_ids()`` — the
-    Analyzer's id kernel; nothing is built.  :meth:`membership` is a per-key
-    predicate for legacy recipes and the Bloom ablation: an exact key set,
-    or a Bloom filter when ``exact_reference_check`` is off, built lazily
-    and kept for the whole GC run.  A Bloom false positive can misplace a
+    :meth:`exact_ids` is a recipe's cached ``unique_ids()`` — the
+    Analyzer's id kernel; nothing is built.  :meth:`membership` is the
+    per-key predicate behind the Bloom ablation: a Bloom filter when
+    ``exact_reference_check`` is off (an exact key set otherwise), built
+    lazily and kept for the whole GC run.  A Bloom false positive can misplace a
     chunk into a slightly-too-large ownership cluster — harmless for
     correctness (clustering only affects layout), bounded by
     ``bloom_fp_rate``.  Whichever form answers, a recipe's first
@@ -81,9 +81,6 @@ class ReferenceChecker:
             fp_rate=self.config.bloom_fp_rate,
             salt=b"recipe" + recipe.backup_id.to_bytes(8, "big"),
         )
-        # fingerprints() resolves columnar recipes through the interner's
-        # flat id → key table; same keys, same order, on either
-        # representation (filter bits are therefore identical too).
         bloom.update(recipe.fingerprints())
         return bloom.__contains__
 
@@ -96,7 +93,7 @@ class ReferenceChecker:
         return predicate
 
     def exact_ids(self, backup_id: int) -> frozenset[int]:
-        """One columnar recipe's exact interned-id member set."""
+        """One recipe's exact interned-id member set."""
         return self._recipe(backup_id).unique_ids()
 
 
@@ -163,11 +160,11 @@ class Analyzer:
 
         Two kernels, same clusters whenever membership answers agree.  The
         **id kernel** runs when ``valid_ids`` (interned ids aligned with
-        ``valid_chunks``) is given, the check is exact and every recipe is
-        columnar: C-level set algebra of each leaf's id column against the
-        recipe's cached id set, where only a real split pays a per-chunk
-        pass.  Otherwise (legacy recipes, the Bloom ablation) every chunk's
-        key goes through the per-recipe predicate.  ``probes`` counts chunk
+        ``valid_chunks``) is given and the check is exact: C-level set
+        algebra of each leaf's id column against the recipe's cached id
+        set, where only a real split pays a per-chunk pass.  Otherwise (the
+        Bloom ablation) every chunk's key goes through the per-recipe
+        predicate.  ``probes`` counts chunk
         classifications on both, so ``analyze_ops`` and the ``gc.segment``
         trace do not depend on which kernel ran.
         """
@@ -175,11 +172,7 @@ class Analyzer:
             self.last_leaf_count = self.last_probe_count = self.last_chunk_count = 0
             return []
 
-        by_id = (
-            valid_ids is not None
-            and self.config.exact_reference_check
-            and self.checker.recipes.all_columnar()
-        )
+        by_id = valid_ids is not None and self.config.exact_reference_check
         head = _LeafNode(
             chunks=list(valid_chunks), ids=list(valid_ids) if by_id else None
         )

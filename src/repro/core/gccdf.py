@@ -13,14 +13,12 @@ the next instead of sealing underfilled containers at every segment
 boundary.  This strictly reduces produced containers and matches the paper's
 "fill [clusters] sequentially into the containers" description.
 
-On the columnar path the sweep-write drains each segment as one batched
-column (the planner's reordered sequence plus a bulk source lookup against
-the index's placement map) through :meth:`JournaledCopyForward
-.migrate_batch`; payload-carrying segments and legacy services keep the
-per-chunk loop.  Reclaim data comes from the preprocessing-time partitions
-the segments already carry — validity is stable within a drained round, so
-re-partitioning every container a second time here would recompute the same
-answer.
+The sweep-write drains each segment as one batched column (the planner's
+reordered sequence plus a bulk source lookup against the index's placement
+map) through :meth:`JournaledCopyForward.migrate_batch`; payload-carrying
+(byte-level) segments go chunk by chunk.  Reclaim data comes from the
+partitions the segment already carries.  :func:`migrate_segment` is that
+per-segment body, shared by this strategy and the incremental engine.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from repro.config import GCCDFConfig
 from repro.core.analyzer import Analyzer, ReferenceChecker
 from repro.core.planner import MigrationOrder, Planner
-from repro.core.preprocessor import Preprocessor
+from repro.core.preprocessor import Preprocessor, Segment
 from repro.gc.migration import (
     JournaledCopyForward,
     MigrationResult,
@@ -57,7 +55,7 @@ class AnalyzeStage:
         ctx: SweepContext,
         valid_chunks,
         involved_backups: tuple[int, ...],
-        valid_ids: list[int] | None,
+        valid_ids: list[int],
     ) -> MigrationOrder:
         builds_before = self.checker.build_ops
         with ctx.analyze_watch.timed():
@@ -72,6 +70,68 @@ class AnalyzeStage:
             + order.num_chunks
         )
         return order
+
+
+def migrate_segment(
+    ctx: SweepContext,
+    copy_forward: JournaledCopyForward,
+    stage: AnalyzeStage,
+    segment: Segment,
+) -> MigrationOrder:
+    """One segment: analyze → reordered sweep-write → schedule reclaims."""
+    # Analyze: cluster by ownership, then pack (CPU time, Fig. 14).
+    order = stage.order(
+        ctx, segment.valid_chunks, segment.involved_backups, segment.valid_ids
+    )
+
+    # Sweep-write: drain the GC cache in the reordered sequence.  The
+    # chunk's current placement names its source container — still correct
+    # here, because repointing happens only when a destination seals, and
+    # every fp belongs to exactly one not-yet-reclaimed source.
+    sequence = order.sequence
+    if not segment.payloads:
+        placements = ctx.index.placements_map()
+        copy_forward.migrate_batch(
+            sequence,
+            [ref.fp for ref in sequence],
+            [ref.size for ref in sequence],
+            [placements[ref.fp].container_id for ref in sequence],
+        )
+    else:
+        for ref in sequence:
+            source_id = ctx.index.get(ref.fp).container_id
+            copy_forward.migrate_chunk(ref, segment.payloads.get(ref.fp), source_id)
+
+    # Mid-migration abort point: the segment's chunks sit in the (possibly
+    # still open) destination, its sources untouched.
+    ctx.disk.crash_point(
+        "gccdf.segment",
+        segment_index=segment.index,
+        containers=len(segment.container_ids),
+    )
+
+    # Schedule the segment's old containers for reclaim; deletion becomes
+    # durable only after their chunks seal and repoint.  Validity has not
+    # moved since the segment was partitioned — a drained round never
+    # changes it, and an incremental step builds its segment within the
+    # step — so those partitions are the reclaim data; revivals *between*
+    # incremental steps are the reclaim barrier's to catch.
+    for reclaim in segment.reclaims:
+        copy_forward.schedule_reclaim(*reclaim)
+
+    tracer = ctx.disk.tracer
+    if tracer.enabled:
+        tracer.emit(
+            "gc.segment",
+            sim_time=ctx.disk.sim_time,
+            fields={
+                "containers": len(segment.container_ids),
+                "clusters": order.num_clusters,
+                "migrated_chunks": order.num_chunks,
+                "invalid_bytes": segment.invalid_bytes,
+            },
+        )
+    return order
 
 
 class GCCDFMigration:
@@ -105,64 +165,8 @@ class GCCDFMigration:
         self.last_cluster_counts = []
 
         for segment in preprocessor.segments():
-            # Analyze: cluster by ownership, then pack (CPU time, Fig. 14).
-            order = stage.order(
-                ctx, segment.valid_chunks, segment.involved_backups, segment.valid_ids
-            )
+            order = migrate_segment(ctx, copy_forward, stage, segment)
             self.last_cluster_counts.append(order.num_clusters)
-
-            # Sweep-write: drain the GC cache in the reordered sequence.
-            # The chunk's current placement names its source container —
-            # still correct here, because repointing happens only when a
-            # destination seals, and every fp belongs to exactly one
-            # not-yet-reclaimed source.
-            sequence = order.sequence
-            if segment.valid_ids is not None and not segment.payloads:
-                placements = ctx.index.placements_map()
-                copy_forward.migrate_batch(
-                    sequence,
-                    [ref.fp for ref in sequence],
-                    [ref.size for ref in sequence],
-                    [placements[ref.fp].container_id for ref in sequence],
-                )
-            else:
-                for ref in sequence:
-                    source_id = ctx.index.get(ref.fp).container_id
-                    copy_forward.migrate_chunk(
-                        ref, segment.payloads.get(ref.fp), source_id
-                    )
-
-            # Mid-migration abort point: the segment's chunks sit in the
-            # (possibly still open) destination, its sources untouched.
-            ctx.disk.crash_point(
-                "gccdf.segment",
-                segment_index=segment.index,
-                containers=len(segment.container_ids),
-            )
-
-            # Schedule the segment's old containers for reclaim; deletion
-            # becomes durable only after their chunks seal and repoint.
-            for container_id, container_invalid_keys, container_invalid_bytes in (
-                segment.reclaims
-            ):
-                copy_forward.schedule_reclaim(
-                    container_id,
-                    container_invalid_keys,
-                    container_invalid_bytes,
-                )
-
-            tracer = ctx.disk.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    "gc.segment",
-                    sim_time=ctx.disk.sim_time,
-                    fields={
-                        "containers": len(segment.container_ids),
-                        "clusters": order.num_clusters,
-                        "migrated_chunks": order.num_chunks,
-                        "invalid_bytes": segment.invalid_bytes,
-                    },
-                )
 
         copy_forward.finish()
         ctx.analyze_parallelism = min(

@@ -16,20 +16,22 @@ Bridges the GC mark stage and the Analyzer.  Three tasks, as in Fig. 8:
    tells the Analyzer which backups' references matter here.
 
 Each segment also carries the partition by-products downstream consumers
-need anyway: the aligned interned-id column of its valid chunks (columnar
-services only — it feeds the Analyzer's exact-membership fast path) and the
-per-container ``(invalid_keys, invalid_bytes)`` reclaim data.  Validity is
-stable for the duration of one drained GC round — migration relocates index
-entries without removing them, reclaims drop only already-invalid keys, and
-the VC table never changes mid-round — so the sweep reuses these partitions
-at reclaim-scheduling time instead of re-partitioning every container
-twice.
+need anyway: the aligned interned-id column of its valid chunks (it feeds
+the Analyzer's exact-membership kernel) and the per-container
+``(invalid_keys, invalid_bytes)`` reclaim data.  Validity is stable for the
+duration of one drained GC round — migration relocates index entries
+without removing them, reclaims drop only already-invalid keys, and the VC
+table never changes mid-round — so the sweep reuses these partitions at
+reclaim-scheduling time instead of re-partitioning every container twice.
+The incremental engine, whose rounds are *not* drained, pins only container
+ids up front and builds each segment when its step runs
+(:meth:`Preprocessor.build_segment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.gc.migration import ContainerPartition, SweepContext, partition
 from repro.model import ChunkRef
@@ -43,9 +45,8 @@ class Segment:
     container_ids: list[int]
     #: Valid chunks of the segment, in container scan order.
     valid_chunks: list[ChunkRef] = field(default_factory=list)
-    #: Interned ids aligned with ``valid_chunks`` (``None`` when any of the
-    #: segment's containers lacks a manifest, i.e. on the legacy path).
-    valid_ids: list[int] | None = None
+    #: Interned ids aligned with ``valid_chunks``.
+    valid_ids: list[int] = field(default_factory=list)
     #: storage key → payload bytes, for chunks that carry payloads.
     payloads: dict[bytes, bytes] = field(default_factory=dict)
     #: Live backups referencing any container of this segment, ascending.
@@ -69,51 +70,61 @@ class Preprocessor:
         self.ctx = ctx
         self.segment_size = ctx.config.gccdf.segment_size
 
-    def reclaimable_containers(self) -> list[tuple[int, ContainerPartition]]:
-        """GS-list containers that actually hold invalid chunks.
+    def reclaimable(
+        self, container_ids: Iterable[int]
+    ) -> Iterator[tuple[int, ContainerPartition]]:
+        """Those of ``container_ids`` that actually hold invalid chunks, as
+        ``(container_id, partition)`` pairs.
 
-        Returns ``(container_id, partition)`` pairs; fully-valid containers
-        stay involved-but-untouched, matching the involved/reclaimed
-        distinction of Fig. 13.
+        Fully-valid containers stay involved-but-untouched, matching the
+        involved/reclaimed distinction of Fig. 13; ids no longer in the
+        store (reclaimed before a crash interrupted the round) are skipped.
         """
-        out = []
-        for container_id in self.ctx.mark.gs_list:
-            part = partition(self.ctx, container_id)
-            if part.invalid_bytes == 0:
+        for container_id in container_ids:
+            if container_id not in self.ctx.store:
                 continue
-            out.append((container_id, part))
-        return out
+            part = partition(self.ctx, container_id)
+            if part.invalid_bytes:
+                yield container_id, part
+
+    def reclaimable_containers(self) -> list[tuple[int, ContainerPartition]]:
+        """The GC work list: :meth:`reclaimable` over the whole GS list."""
+        return list(self.reclaimable(self.ctx.mark.gs_list))
 
     def segments(self) -> Iterator[Segment]:
         """Yield segments one at a time (the GC cache holds one segment)."""
         work = self.reclaimable_containers()
-        columnar = all(part.valid_ids is not None for _, part in work)
         for seg_index, start in enumerate(range(0, len(work), self.segment_size)):
-            batch = work[start : start + self.segment_size]
-            segment = Segment(
-                index=seg_index,
-                container_ids=[container_id for container_id, _ in batch],
-                valid_ids=[] if columnar else None,
+            yield self._segment(seg_index, work[start : start + self.segment_size])
+
+    def build_segment(self, index: int, container_ids: Iterable[int]) -> Segment:
+        """One segment over whichever of ``container_ids`` are reclaimable
+        *now* (possibly none: ``container_ids`` then comes back empty)."""
+        return self._segment(index, self.reclaimable(container_ids))
+
+    def _segment(
+        self, index: int, work: Iterable[tuple[int, ContainerPartition]]
+    ) -> Segment:
+        segment = Segment(index=index, container_ids=[])
+        owners: set[int] = set()
+        for container_id, part in work:
+            segment.container_ids.append(container_id)
+            segment.invalid_bytes += part.invalid_bytes
+            segment.reclaims.append(
+                (container_id, part.invalid_keys, part.invalid_bytes)
             )
-            owners: set[int] = set()
-            for container_id, part in batch:
-                segment.invalid_bytes += part.invalid_bytes
-                segment.reclaims.append(
-                    (container_id, part.invalid_keys, part.invalid_bytes)
-                )
-                owners.update(self.ctx.mark.rrt.get(container_id, ()))
-                if not part.valid:
-                    continue
-                # Sweep-read: fetch the container (charged I/O) and cache
-                # its valid chunks in memory.
-                container = self.ctx.store.read_container(container_id)
-                segment.valid_chunks.extend(part.valid)
-                if columnar:
-                    segment.valid_ids.extend(part.valid_ids)
-                if container.has_payloads():
-                    for entry in part.valid:
-                        payload = container.payload(entry.fp)
-                        if payload is not None:
-                            segment.payloads[entry.fp] = payload
-            segment.involved_backups = tuple(sorted(owners))
-            yield segment
+            owners.update(self.ctx.mark.rrt.get(container_id, ()))
+            if not part.valid:
+                continue
+            # Sweep-read: fetch the container (charged I/O) and cache
+            # its valid chunks in memory.
+            container = self.ctx.store.read_container(container_id)
+            segment.valid_chunks.extend(part.valid)
+            segment.valid_ids.extend(part.valid_ids)
+            if container.has_payloads():
+                for entry in part.valid:
+                    payload = container.payload(entry.fp)
+                    if payload is not None:
+                        segment.payloads[entry.fp] = payload
+        segment.involved_backups = tuple(sorted(owners))
+        return segment

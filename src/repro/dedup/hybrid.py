@@ -51,8 +51,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.dedup.keys import key_generation, logical_fp, storage_key
 from repro.hashing.bloom import BloomFilter
 from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import Recipe
-from repro.model import ChunkRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.faults.journal import IntentJournal
@@ -169,47 +167,33 @@ def repoint_recipe(
     recipe does not reference ``dup``, which makes replays idempotent).
     """
     recipe = recipes.get(backup_id)
-    if isinstance(recipe, ColumnarRecipe):
-        interner = recipe.interner
-        dup_id = interner.id_map().get(dup)
-        if dup_id is None or dup_id not in recipe.unique_ids():
-            return 0
-        canonical_id = interner.intern(canonical)
-        new_ids = array("q", recipe.chunk_ids)
-        changed = 0
-        # C-level scan: array.index jumps between occurrences instead of a
-        # Python-level comparison per position.
-        position = 0
-        while True:
-            try:
-                position = new_ids.index(dup_id, position)
-            except ValueError:
-                break
-            new_ids[position] = canonical_id
-            changed += 1
-            position += 1
-        replacement: Recipe | ColumnarRecipe = ColumnarRecipe(
+    interner = recipe.interner
+    dup_id = interner.id_map().get(dup)
+    if dup_id is None or dup_id not in recipe.unique_ids():
+        return 0
+    canonical_id = interner.intern(canonical)
+    new_ids = array("q", recipe.chunk_ids)
+    changed = 0
+    # C-level scan: array.index jumps between occurrences instead of a
+    # Python-level comparison per position.
+    position = 0
+    while True:
+        try:
+            position = new_ids.index(dup_id, position)
+        except ValueError:
+            break
+        new_ids[position] = canonical_id
+        changed += 1
+        position += 1
+    recipes.replace(
+        ColumnarRecipe(
             recipe.backup_id,
             interner,
             new_ids,
             recipe.chunk_sizes,
             source=recipe.source,
         )
-    else:
-        changed = sum(1 for entry in recipe.entries if entry.fp == dup)
-        if not changed:
-            return 0
-        replacement = Recipe(
-            backup_id=recipe.backup_id,
-            entries=tuple(
-                entry
-                if entry.fp != dup
-                else ChunkRef(fp=canonical, size=entry.size)
-                for entry in recipe.entries
-            ),
-            source=recipe.source,
-        )
-    recipes.replace(replacement)
+    )
     return changed
 
 

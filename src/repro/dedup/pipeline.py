@@ -14,21 +14,15 @@
 Setting ``dedup_enabled=False`` makes every occurrence a fresh copy — the
 Non-dedup baseline of §3.1 — through the same code path.
 
-Two representations, one semantics
-----------------------------------
-
-With ``columnar=True`` (the default) recipes are built as
-:class:`~repro.index.columnar.ColumnarRecipe` id/size columns, and streams
-that need no rewriting decisions (``NullRewriting`` — Naïve, GCCDF,
-Non-dedup) take a fused batched kernel: the duplicate majority of the
-stream is classified with two C-level dict probes and two array appends per
-chunk, materialising no ``IngestEntry``/``ChunkRef`` objects and paying no
-policy calls.  Chunks that miss (or arrive with a rewriting policy
-installed) flow through the same step sequence as the legacy path, so
-container contents, simulated I/O order, crash points, and every counter
-are bit-identical between representations.  ``columnar=False`` keeps the
-original tuple-of-``ChunkRef`` pipeline callable for benchmarking
-(``repro-bench``) and A/B verification.
+Recipes are built as :class:`~repro.index.columnar.ColumnarRecipe` id/size
+columns.  Streams that need no rewriting decisions (``NullRewriting`` —
+Naïve, GCCDF, Non-dedup) take a fused batched kernel: the duplicate majority
+of the stream is classified with two C-level dict probes and two array
+appends per chunk, materialising no ``IngestEntry``/``ChunkRef`` objects and
+paying no policy calls.  Policy-bearing streams offer one ``IngestEntry``
+per chunk to the policy over the same probe sequence; hybrid-mode streams
+classify against the neighbor window and the ingest Bloom filter instead of
+the index (:mod:`repro.dedup.hybrid`).
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from repro.dedup.logical_index import LogicalIndex
 from repro.dedup.rewriting.base import IngestEntry, NullRewriting, RewritingPolicy
 from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import Chunk, ChunkRef
 from repro.storage.store import ContainerStore
 from repro.storage.writer import ContainerWriter
@@ -83,7 +77,6 @@ class IngestPipeline:
         recipes: RecipeStore,
         rewriting: RewritingPolicy | None = None,
         dedup_enabled: bool = True,
-        columnar: bool = True,
         hybrid: HybridState | None = None,
     ):
         self.store = store
@@ -91,7 +84,6 @@ class IngestPipeline:
         self.recipes = recipes
         self.rewriting = rewriting or NullRewriting()
         self.dedup_enabled = dedup_enabled
-        self.columnar = columnar
         self.hybrid = hybrid
         self.logical = LogicalIndex(index)
 
@@ -109,104 +101,22 @@ class IngestPipeline:
             # Hybrid classification only applies to decision-free streams:
             # rewriting policies need the full inline duplicate verdict per
             # chunk, so policy-bearing services fall back to inline dedup.
-            if self.columnar:
-                return self._ingest_hybrid_batched(stream, source)
-            return self._ingest_hybrid_legacy(stream, source)
-        if self.columnar:
-            # The fused kernel assumes the policy is a decision-free
-            # pass-through (exact type check: subclasses may override hooks).
-            if type(self.rewriting) is NullRewriting:
-                return self._ingest_batched(stream, source)
-            return self._ingest_columnar_policy(stream, source)
-        return self._ingest_legacy(stream, source)
+            return self._ingest_hybrid_batched(stream, source)
+        # The fused kernel assumes the policy is a decision-free
+        # pass-through (exact type check: subclasses may override hooks).
+        if type(self.rewriting) is NullRewriting:
+            return self._ingest_batched(stream, source)
+        return self._ingest_columnar_policy(stream, source)
 
     # ------------------------------------------------------------------
-    # Legacy path: tuple-of-ChunkRef recipes (the pre-columnar pipeline)
-    # ------------------------------------------------------------------
-
-    def _ingest_legacy(
-        self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
-    ) -> IngestResult:
-        backup_id = self.recipes.new_backup_id()
-        self.rewriting.begin_backup(backup_id)
-        writer = ContainerWriter(self.store)
-
-        recipe_keys: list[ChunkRef] = []
-        logical_bytes = 0
-        stored_bytes = 0
-        dedup_bytes = 0
-        rewritten_bytes = 0
-
-        def write_entry(entry: IngestEntry) -> None:
-            nonlocal stored_bytes, dedup_bytes, rewritten_bytes
-            if entry.duplicate and not entry.rewrite:
-                assert entry.existing_key is not None
-                recipe_keys.append(ChunkRef(fp=entry.existing_key, size=entry.size))
-                dedup_bytes += entry.size
-                return
-            key = self.logical.new_key(entry.fp)
-            ref = ChunkRef(fp=key, size=entry.size)
-            container_id = writer.append(ref, entry.payload)
-            self.index.insert(key, container_id, entry.size)
-            recipe_keys.append(ref)
-            stored_bytes += entry.size
-            if entry.duplicate:
-                rewritten_bytes += entry.size
-
-        with self.store.disk.phase("ingest") as ph:
-            for item in stream:
-                if isinstance(item, Chunk):
-                    fp, size, payload = item.fp, item.size, item.data
-                else:
-                    fp, size, payload = item.fp, item.size, None
-                logical_bytes += size
-                entry = IngestEntry(fp=fp, size=size, payload=payload)
-                if self.dedup_enabled:
-                    hit = self.logical.lookup(fp)
-                    if hit is not None:
-                        key, placement = hit
-                        # A copy sitting in the still-open container cannot be
-                        # fragmented away from this stream; treat normally.
-                        entry.duplicate = True
-                        entry.existing_key = key
-                        entry.container_id = placement.container_id
-                for decided in self.rewriting.feed(entry):
-                    write_entry(decided)
-
-            for decided in self.rewriting.flush():
-                write_entry(decided)
-            containers = writer.flush()
-            self.rewriting.end_backup()
-            ph.annotate(
-                backup_id=backup_id,
-                logical_bytes=logical_bytes,
-                stored_bytes=stored_bytes,
-                dedup_bytes=dedup_bytes,
-                rewritten_bytes=rewritten_bytes,
-                containers_written=len(containers),
-            )
-
-        recipe = Recipe(backup_id=backup_id, entries=tuple(recipe_keys), source=source)
-        self.recipes.add(recipe)
-        return IngestResult(
-            backup_id=backup_id,
-            logical_bytes=logical_bytes,
-            num_chunks=len(recipe_keys),
-            stored_bytes=stored_bytes,
-            dedup_bytes=dedup_bytes,
-            rewritten_bytes=rewritten_bytes,
-            containers_written=len(containers),
-        )
-
-    # ------------------------------------------------------------------
-    # Columnar path with a rewriting policy: per-entry decisions over
-    # interned id/size columns
+    # Rewriting-policy path: per-entry decisions over interned id/size
+    # columns
     # ------------------------------------------------------------------
 
     def _ingest_columnar_policy(
         self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
     ) -> IngestResult:
-        """Policy-bearing ingest onto a columnar recipe.
+        """Policy-bearing ingest.
 
         The policy still sees one :class:`IngestEntry` per chunk — buffered
         segment decisions (Capping/HAR/SMR) need the full entry — but the
@@ -243,7 +153,7 @@ class IngestPipeline:
         dedup_bytes = 0
         rewritten_bytes = 0
         # Probe statistics, flushed to the index objects after the loop
-        # (bulk adds of the exact per-probe increments the legacy path makes).
+        # (bulk adds of the per-probe increments LogicalIndex.lookup makes).
         log_lookups = 0
         log_hits = 0
         phys_probes = 0
@@ -344,7 +254,7 @@ class IngestPipeline:
         )
 
     # ------------------------------------------------------------------
-    # Batched path: decision-free streams onto columnar recipes
+    # Batched path: decision-free streams
     # ------------------------------------------------------------------
 
     def _ingest_batched(
@@ -352,11 +262,11 @@ class IngestPipeline:
     ) -> IngestResult:
         """Fused classify/record kernel for ``NullRewriting`` streams.
 
-        Replicates ``_ingest_general`` step for step — same probe order,
-        same write order, same counters — but hoists every per-chunk
-        attribute lookup and method call out of the loop and batches the
-        index-statistics updates, so the duplicate majority costs two dict
-        probes and two array appends per occurrence.
+        The policy path's step sequence — same probe order, same write
+        order, same counters — with every per-chunk attribute lookup and
+        method call hoisted out of the loop and the index-statistics
+        updates batched, so the duplicate majority costs two dict probes
+        and two array appends per occurrence.
         """
         backup_id = self.recipes.new_backup_id()
         self.rewriting.begin_backup(backup_id)
@@ -384,7 +294,7 @@ class IngestPipeline:
         stored_bytes = 0
         dedup_bytes = 0
         # Probe statistics, flushed to the index objects after the loop
-        # (bulk adds of the exact per-probe increments the general path makes).
+        # (bulk adds of the per-probe increments LogicalIndex.lookup makes).
         log_lookups = 0
         log_hits = 0
         phys_probes = 0
@@ -464,7 +374,7 @@ class IngestPipeline:
     def _ingest_hybrid_batched(
         self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
     ) -> IngestResult:
-        """Fused hybrid kernel for columnar ``NullRewriting`` streams.
+        """Fused hybrid kernel for ``NullRewriting`` streams.
 
         Per chunk: probe the per-source neighbor window (this stream's own
         entries, then the previous backup of the same source); a neighbor
@@ -604,127 +514,6 @@ class IngestPipeline:
             backup_id=backup_id,
             logical_bytes=logical_bytes,
             num_chunks=len(ids),
-            stored_bytes=stored_bytes,
-            dedup_bytes=dedup_bytes,
-            rewritten_bytes=0,
-            containers_written=len(containers),
-        )
-
-    def _ingest_hybrid_legacy(
-        self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
-    ) -> IngestResult:
-        """Hybrid classification onto a legacy tuple recipe — the same
-        probe order, classification verdicts, write order, and counters as
-        :meth:`_ingest_hybrid_batched`, so the two representations stay
-        A/B-identical in hybrid mode too."""
-        hybrid = self.hybrid
-        assert hybrid is not None
-        backup_id = self.recipes.new_backup_id()
-        self.rewriting.begin_backup(backup_id)
-        writer = ContainerWriter(self.store)
-
-        index = self.index
-        logical = self.logical
-        placements_get = index.placements_map().get
-        new_key = logical.new_key
-        insert = index.insert
-        writer_append = writer.append
-        chunk_type = Chunk
-
-        hybrid.maybe_rebuild_filter(logical.current_map())
-        filter_contains = hybrid.filter.__contains__
-        filter_add = hybrid.filter.add
-        prev = hybrid.neighbors.get(source, {})
-        prev_get = prev.get
-        cur: dict[bytes, bytes] = {}
-        cur_get = cur.get
-        candidates = hybrid.candidates
-        candidates_get = candidates.get
-
-        recipe_keys: list[ChunkRef] = []
-        recipe_append = recipe_keys.append
-        logical_bytes = 0
-        stored_bytes = 0
-        dedup_bytes = 0
-        phys_probes = 0
-        phys_hits = 0
-        neighbor_hits = 0
-        neighbor_stale = 0
-        filter_new = 0
-        filter_maybe = 0
-        deferred = 0
-        filter_adds = 0
-
-        with self.store.disk.phase("ingest") as ph:
-            for item in stream:
-                if isinstance(item, chunk_type):
-                    fp, size, payload = item.fp, item.size, item.data
-                else:
-                    fp, size, payload = item.fp, item.size, None
-                logical_bytes += size
-                key = cur_get(fp)
-                if key is None:
-                    key = prev_get(fp)
-                if key is not None:
-                    phys_probes += 1
-                    if placements_get(key) is not None:
-                        phys_hits += 1
-                        neighbor_hits += 1
-                        recipe_append(ChunkRef(fp=key, size=size))
-                        dedup_bytes += size
-                        cur[fp] = key
-                        refs = candidates_get(key)
-                        if refs is not None:
-                            refs.add(backup_id)
-                        continue
-                    neighbor_stale += 1
-                    prev.pop(fp, None)
-                    cur.pop(fp, None)
-                maybe_seen = filter_contains(fp)
-                key = new_key(fp)
-                ref = ChunkRef(fp=key, size=size)
-                container_id = writer_append(ref, payload)
-                insert(key, container_id, size)
-                recipe_append(ref)
-                stored_bytes += size
-                cur[fp] = key
-                filter_add(fp)
-                filter_adds += 1
-                if maybe_seen:
-                    filter_maybe += 1
-                    candidates[key] = {backup_id}
-                    deferred += 1
-                else:
-                    filter_new += 1
-
-            containers = writer.flush()
-            self.rewriting.end_backup()
-            ph.annotate(
-                backup_id=backup_id,
-                logical_bytes=logical_bytes,
-                stored_bytes=stored_bytes,
-                dedup_bytes=dedup_bytes,
-                rewritten_bytes=0,
-                containers_written=len(containers),
-                deferred=deferred,
-            )
-
-        index.lookups += phys_probes
-        index.hits += phys_hits
-        hybrid.neighbor_hits += neighbor_hits
-        hybrid.neighbor_stale += neighbor_stale
-        hybrid.filter_new += filter_new
-        hybrid.filter_maybe += filter_maybe
-        hybrid.deferred += deferred
-        hybrid.filter_adds += filter_adds
-        hybrid.neighbors[source] = cur
-
-        recipe = Recipe(backup_id=backup_id, entries=tuple(recipe_keys), source=source)
-        self.recipes.add(recipe)
-        return IngestResult(
-            backup_id=backup_id,
-            logical_bytes=logical_bytes,
-            num_chunks=len(recipe_keys),
             stored_bytes=stored_bytes,
             dedup_bytes=dedup_bytes,
             rewritten_bytes=0,

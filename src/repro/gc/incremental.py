@@ -567,98 +567,22 @@ class IncrementalGC:
 
     def _gccdf_segment_step(self, state: GCCycleState) -> None:
         """One GCCDF segment: read + cache → analyze → reordered write →
-        schedule reclaims.  Mirrors ``GCCDFMigration.migrate``'s per-segment
-        body exactly (the shared ``AnalyzeStage``, same crash point)."""
-        ctx, copy_forward = self._ctx, self._cf
-        batch = state.segment_batches[state.segment_pos]
+        schedule reclaims, over whichever of the pinned batch's containers
+        are still reclaimable (``GCCDFMigration.migrate``'s per-segment
+        body, on the shared ``AnalyzeStage``)."""
+        # Lazy for the same reason as in ``_ensure_runners``.
+        from repro.core.gccdf import Preprocessor, migrate_segment
+
+        ctx = self._ctx
         segment_index = state.segment_pos
         state.segment_pos += 1
         with self.disk.phase("gc.sweep") as ph:
-            container_ids: list[int] = []
-            valid_chunks = []
-            valid_ids: list[int] = []
-            columnar = True
-            payloads: dict[bytes, bytes] = {}
-            owners: set[int] = set()
-            reclaims: list[tuple[int, list[bytes], int]] = []
-            segment_invalid_bytes = 0
-            for container_id in batch:
-                if container_id not in self.store:
-                    continue  # reclaimed before a crash
-                part = partition(ctx, container_id)
-                if part.invalid_bytes == 0:
-                    continue  # fully valid (possible only after a crash)
-                container_ids.append(container_id)
-                segment_invalid_bytes += part.invalid_bytes
-                reclaims.append(
-                    (container_id, part.invalid_keys, part.invalid_bytes)
-                )
-                owners.update(ctx.mark.rrt.get(container_id, ()))
-                if part.valid_ids is None:
-                    columnar = False
-                if not part.valid:
-                    continue
-                container = self.store.read_container(container_id)
-                valid_chunks.extend(part.valid)
-                if part.valid_ids is not None:
-                    valid_ids.extend(part.valid_ids)
-                if container.has_payloads():
-                    for entry in part.valid:
-                        payload = container.payload(entry.fp)
-                        if payload is not None:
-                            payloads[entry.fp] = payload
-            if container_ids:
-                involved_backups = tuple(sorted(owners))
-                order = self._analyze_stage.order(
-                    ctx,
-                    valid_chunks,
-                    involved_backups,
-                    valid_ids if columnar else None,
-                )
-                sequence = order.sequence
-                if columnar and not payloads:
-                    placements = ctx.index.placements_map()
-                    copy_forward.migrate_batch(
-                        sequence,
-                        [ref.fp for ref in sequence],
-                        [ref.size for ref in sequence],
-                        [placements[ref.fp].container_id for ref in sequence],
-                    )
-                else:
-                    for ref in sequence:
-                        source_id = ctx.index.get(ref.fp).container_id
-                        copy_forward.migrate_chunk(
-                            ref, payloads.get(ref.fp), source_id
-                        )
-                ctx.disk.crash_point(
-                    "gccdf.segment",
-                    segment_index=segment_index,
-                    containers=len(container_ids),
-                )
-                # Validity is stable within one atomic step, so the
-                # pre-migration partitions are the reclaim data (revivals
-                # between steps are the reclaim barrier's to catch).
-                for container_id, container_invalid_keys, container_invalid_bytes in (
-                    reclaims
-                ):
-                    copy_forward.schedule_reclaim(
-                        container_id,
-                        container_invalid_keys,
-                        container_invalid_bytes,
-                    )
+            segment = Preprocessor(ctx).build_segment(
+                segment_index, state.segment_batches[segment_index]
+            )
+            if segment.container_ids:
+                migrate_segment(ctx, self._cf, self._analyze_stage, segment)
                 state.segments_done += 1
-                tracer = ctx.disk.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        "gc.segment",
-                        sim_time=ctx.disk.sim_time,
-                        fields={
-                            "containers": len(container_ids),
-                            "clusters": order.num_clusters,
-                            "migrated_chunks": order.num_chunks,
-                            "invalid_bytes": segment_invalid_bytes,
-                        },
-                    )
             ph.annotate(round_index=state.round_index, segment_index=segment_index)
         state.analyze_ops = ctx.analyze_ops
         state.sweep_read_seconds += ph.delta.read_seconds

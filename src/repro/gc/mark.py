@@ -17,10 +17,9 @@ on-disk recipe record of container-based systems).
 The traversal runs on **interned-id sets** (:class:`MarkScan`): no
 Python-level work per chunk occurrence, and resumable — :class:`MarkStage`
 feeds it each pass as one slice, the incremental engine
-(:mod:`repro.gc.incremental`) a few recipes per step.  Stop-the-world marks
-over legacy tuple recipes keep the original per-entry loop
-(:meth:`MarkStage._run_legacy`).  Both produce identical
-:class:`MarkResult`\\ s and identical index probe statistics.
+(:mod:`repro.gc.incremental`) a few recipes per step.  The per-entry
+definition of what it computes lives on as the model in
+``tests/test_prop_mark.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.config import SystemConfig
 from repro.gc.vc_table import VCTable, make_vc_table
 from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import AnyRecipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.simio.disk import DiskModel
 
 #: On-disk size of one recipe record: 24-byte storage key + 8 bytes of
@@ -60,13 +59,13 @@ class MarkResult:
     candidate_keys: int
     #: Simulated seconds spent reading recipes.
     mark_seconds: float
-    #: Interned ids of the live key set (columnar marks only).  Always a
-    #: *subset* of the VC table's members at any later time — the table may
-    #: grow via the incremental live-reference barrier — so sweep kernels
-    #: may treat ``id in live_ids`` as a proven VC hit and fall back to
-    #: probing the table itself for the rest (Bloom false positives and
-    #: barrier additions included).  ``None`` on the legacy path.
-    live_ids: frozenset[int] | None = None
+    #: Interned ids of the live key set.  Always a *subset* of the VC
+    #: table's members at any later time — the table may grow via the
+    #: incremental live-reference barrier — so sweep kernels may treat
+    #: ``id in live_ids`` as a proven VC hit and fall back to probing the
+    #: table itself for the rest (Bloom false positives and barrier
+    #: additions included).
+    live_ids: frozenset[int]
 
     def rrt_bytes_estimate(self) -> int:
         """Approximate RRT memory footprint (paper §5.5's sizing argument:
@@ -86,16 +85,14 @@ class MarkScan:
     C-level union of its recipes' id sets, one set difference against the
     probe memo, one ``lookup_many`` for what is left, and its recipes' RRT
     rows — so the index sees one probe per unique key across both passes
-    (the legacy memo's count, in dense-id instead of first-occurrence
-    order; the index is read-only during mark, so order is unobservable).
+    (the index is read-only during mark, so probe order is unobservable).
     A recipe references a GS container iff one of its ids is *placed*
     there, and a slice's ids are all resolved before its RRT rows are
     taken, so where the traversal is cut changes nothing.
 
     The collections below are the whole state; the incremental engine
     keeps the object in its journaled cycle state so a mark survives a
-    crash.  Legacy tuple recipes enter by interning their keys (the
-    interner is append-only, so ids minted here stay valid).
+    crash.
     """
 
     def __init__(
@@ -127,18 +124,18 @@ class MarkScan:
         #: GS container id → live backup ids referencing it.
         self.rrt_sets: dict[int, set[int]] = defaultdict(set)
 
-    def scan_deleted(self, recipes: Sequence[AnyRecipe]) -> None:
+    def scan_deleted(self, recipes: Sequence[ColumnarRecipe]) -> None:
         """Pass 1, one slice: containers holding these deleted recipes'
         chunks may hold garbage — they join the GS set."""
-        ids = set().union(*map(self._ids, recipes))
+        ids = set().union(*(recipe.unique_ids() for recipe in recipes))
         self._resolve(ids, grow_gs=True)
         self.candidate_ids |= ids
 
-    def scan_live(self, recipes: Sequence[AnyRecipe]) -> None:
+    def scan_live(self, recipes: Sequence[ColumnarRecipe]) -> None:
         """Pass 2, one slice: liveness plus these recipes' RRT rows.  Only
         containers already in the GS set matter — live chunks elsewhere are
         irrelevant to the sweep."""
-        id_sets = list(map(self._ids, recipes))
+        id_sets = [recipe.unique_ids() for recipe in recipes]
         union = set().union(*id_sets)
         self._resolve(union, grow_gs=False)
         self.live_ids |= union
@@ -160,7 +157,7 @@ class MarkScan:
     def finish(self, mark_seconds: float = 0.0) -> MarkResult:
         # The VC table is populated once per unique live key; both
         # implementations (exact set, Bloom) are idempotent under add, so
-        # it equals the per-occurrence table of the legacy loop.
+        # it equals a per-occurrence table.
         keys = self.recipes.interner.keys()
         vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
         vc_table.update(map(keys.__getitem__, self.live_ids))
@@ -171,13 +168,8 @@ class MarkScan:
             rrt={cid: tuple(sorted(self.rrt_sets.get(cid, ()))) for cid in gs_list},
             candidate_keys=len(self.candidate_ids),
             mark_seconds=mark_seconds,
-            live_ids=frozenset(self.live_ids) if self.recipes.all_columnar() else None,
+            live_ids=frozenset(self.live_ids),
         )
-
-    def _ids(self, recipe: AnyRecipe) -> "frozenset[int] | set[int]":
-        if isinstance(recipe, ColumnarRecipe):
-            return recipe.unique_ids()
-        return set(map(self.recipes.interner.intern, recipe.fingerprints()))
 
     def _resolve(self, ids: set[int], grow_gs: bool) -> None:
         """Probe the index for the ids no earlier slice resolved and record
@@ -222,11 +214,6 @@ class MarkStage:
         self.extra_gs = frozenset(extra_gs)
 
     def run(self) -> MarkResult:
-        if self.recipes.all_columnar():
-            return self._run_columnar()
-        return self._run_legacy()
-
-    def _run_columnar(self) -> MarkResult:
         """One :class:`MarkScan`, each pass driven as a single slice."""
         scan = MarkScan(self.config, self.index, self.recipes, self.extra_gs)
         with self.disk.phase("gc.mark") as ph:
@@ -249,70 +236,3 @@ class MarkStage:
                 gs_containers=len(scan.gs_members),
             )
         return scan.finish(ph.delta.read_seconds)
-
-    # ------------------------------------------------------------------
-    # Legacy loop: per-entry traversal over tuple recipes
-    # ------------------------------------------------------------------
-
-    def _run_legacy(self) -> MarkResult:
-        # The index is immutable for the duration of one mark run, and
-        # chunks shared across backups recur once per referencing recipe,
-        # so resolved placements are memoised for the whole traversal
-        # (pass 2 would otherwise re-probe the same fingerprint per recipe).
-        # The memo is probed inline via C-level ``dict.get`` with a miss
-        # sentinel: on the dedup-heavy pass-2 hot path that replaces a
-        # Python-level ``index.lookup`` call per entry.
-        missing = object()
-        resolved: dict[bytes, object] = {}
-        resolved_get = resolved.get
-        index_lookup = self.index.lookup
-
-        with self.disk.phase("gc.mark") as ph:
-            # Pass 1 — deleted recipes: find containers that may hold garbage.
-            gs_set: set[int] = set(self.extra_gs)
-            candidate_keys: set[bytes] = set()
-            for recipe in self.recipes.deleted_recipes():
-                self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                for entry in recipe.entries:
-                    if entry.fp in candidate_keys:
-                        continue
-                    candidate_keys.add(entry.fp)
-                    placement = resolved[entry.fp] = index_lookup(entry.fp)
-                    if placement is not None:
-                        gs_set.add(placement.container_id)
-
-            # Mark is read-only, so a crash here needs no repair — recovery
-            # simply aborts the round and the next GC re-marks from scratch.
-            self.disk.crash_point("gc.mark", gs_containers=len(gs_set))
-
-            # Pass 2 — live recipes: VC table and RRT in a single traversal.
-            vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
-            rrt_sets: dict[int, set[int]] = {container_id: set() for container_id in gs_set}
-            for recipe in self.recipes.live_recipes():
-                self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                seen_containers: set[int] = set()
-                for entry in recipe.entries:
-                    fp = entry.fp
-                    vc_table.add(fp)
-                    placement = resolved_get(fp, missing)
-                    if placement is missing:
-                        placement = resolved[fp] = index_lookup(fp)
-                    if placement is None:
-                        continue
-                    container_id = placement.container_id
-                    if container_id in rrt_sets and container_id not in seen_containers:
-                        seen_containers.add(container_id)
-                        rrt_sets[container_id].add(recipe.backup_id)
-
-            ph.annotate(
-                candidate_keys=len(candidate_keys),
-                gs_containers=len(gs_set),
-            )
-
-        return MarkResult(
-            vc_table=vc_table,
-            gs_list=tuple(sorted(gs_set)),
-            rrt={cid: tuple(sorted(backups)) for cid, backups in rrt_sets.items()},
-            candidate_keys=len(candidate_keys),
-            mark_seconds=ph.delta.read_seconds,
-        )

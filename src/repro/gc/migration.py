@@ -30,26 +30,24 @@ reclaim order; deferral is free in the cost model (deletes charge no I/O),
 so an un-faulted sweep performs the byte-identical read/write sequence the
 unjournaled protocol did.
 
-Two partition kernels implement the validity split.  When the service is
-columnar, sealed containers carry an interned-id manifest (parallel
-``array('q')`` id/size columns) and the split runs as C-level set algebra:
-the manifest's distinct-id set intersects the mark's live-id set, the
-index-membership guard probes the index's placement map per surviving id
-(skipped while the index covers the interner's key domain), and only the
-unproven minority (Bloom-VC false positives, barrier additions) reaches a
-Python-level probe loop.  Entry
-selection then drives ``itertools.compress`` over the existing ``ChunkRef``
-list — no per-chunk object materialisation.  Legacy containers take the
-original per-entry loop (fused: one pass instead of the historical
-partition + invalid-keys double scan).  Both kernels classify identically.
+The validity split runs on interned ids.  Every sealed container carries
+an id manifest (parallel ``array('q')`` id/size columns) over the same id
+space as the recipes, so the split is C-level set algebra: the manifest's
+distinct-id set intersects the mark's live-id set, the index-membership
+guard probes the index's placement map per surviving id (skipped while the
+index covers the interner's key domain), and only the unproven minority
+(Bloom-VC false positives, barrier additions) reaches a Python-level probe
+loop.  Entry selection then drives ``itertools.compress`` over the existing
+``ChunkRef`` list — no per-chunk object materialisation.
 
-Strategies on the columnar path hand :meth:`JournaledCopyForward
-.migrate_batch` whole valid-entry columns per source container; the batch
-splits into per-destination runs against the remaining capacity (prefix
-sums + bisect), extends the open ``copyforward`` intent's ``moves`` payload
-once per run, and aggregates the per-source counters — with per-entry move
-records and seal/repoint/reclaim semantics identical to the per-chunk
-:meth:`~JournaledCopyForward.migrate_chunk` loop the legacy path keeps.
+Strategies hand :meth:`JournaledCopyForward.migrate_batch` whole
+valid-entry columns per source container; the batch splits into
+per-destination runs against the remaining capacity (prefix sums + bisect),
+extends the open ``copyforward`` intent's ``moves`` payload once per run,
+and aggregates the per-source counters.  Payload-carrying (byte-level)
+containers go chunk by chunk through
+:meth:`~JournaledCopyForward.migrate_chunk`, which writes the same per-entry
+move records under the same seal/repoint/reclaim protocol.
 """
 
 from __future__ import annotations
@@ -123,10 +121,9 @@ class ContainerPartition(NamedTuple):
     """One container's entries split by validity, in entry order.
 
     ``valid``/``invalid_keys``/``invalid_bytes`` are the classic triple;
-    the trailing columns exist only on the columnar kernel (``None`` on
-    legacy containers, and on fully-valid partitions, which every consumer
-    skips) and feed the batched copy-forward and the GCCDF analyzer without
-    re-deriving keys/sizes/ids per chunk.
+    the trailing columns feed the batched copy-forward and the GCCDF
+    analyzer without re-deriving keys/sizes/ids per chunk.  They are
+    ``None`` only on fully-valid partitions, which every consumer skips.
     """
 
     valid: list[ChunkRef]
@@ -159,34 +156,10 @@ def partition_members(
     a chunk would have nothing to repoint.  (Inline mode never stores a
     container whose keys are absent from the index, so the guard is a
     no-op there.)
-    """
-    container = store.peek(container_id)
-    if container.chunk_ids is not None and recipes.all_columnar():
-        return _partition_columnar(index, recipes, mark, container)
-    vc_table = mark.vc_table
-    valid: list[ChunkRef] = []
-    invalid: list[bytes] = []
-    invalid_bytes = 0
-    for entry in container.entries:
-        fp = entry.fp
-        if fp in vc_table and fp in index:
-            valid.append(entry)
-        else:
-            invalid.append(fp)
-            invalid_bytes += entry.size
-    return ContainerPartition(valid, invalid, invalid_bytes)
 
-
-def _partition_columnar(
-    index: FingerprintIndex,
-    recipes: RecipeStore,
-    mark: MarkResult,
-    container: Container,
-) -> ContainerPartition:
-    """Manifest-driven validity split: set algebra over interned ids.
-
-    Classification is per *distinct* id — validity is a key property, so
-    every entry of the same key classifies alike — in three tiers:
+    Classification is per *distinct* manifest id — validity is a key
+    property, so every entry of the same key classifies alike — in three
+    tiers:
 
     1. ids in the mark's ``live_ids`` are proven VC members (the set was
        built from the live key population; Bloom tables have no false
@@ -195,13 +168,13 @@ def _partition_columnar(
        the interner's whole key domain;
     2. the remaining minority (dead keys, Bloom false positives, barrier
        keys added after the mark) probes the VC table and placement map
-       per id — exactly the legacy per-entry predicate;
+       per id;
     3. entry selection maps the surviving id set over the manifest columns
        (``map`` + ``compress``), reusing the container's existing
        ``ChunkRef`` objects.
     """
-    interner = recipes.interner
-    keys = interner.keys()
+    container = store.peek(container_id)
+    keys = recipes.interner.keys()
     placements = index.placements_map()
     vc_table = mark.vc_table
     ids = container.chunk_ids
@@ -209,18 +182,14 @@ def _partition_columnar(
     distinct = container.distinct_ids()
 
     live_ids = mark.live_ids
-    if live_ids is not None:
-        survivors = set(distinct & live_ids)
-        rest = distinct - live_ids
-    else:
-        survivors = set()
-        rest = distinct
+    survivors = set(distinct & live_ids)
+    rest = distinct - live_ids
     if survivors and len(placements) != len(keys):
-        # Index-membership guard.  On the columnar path the index's key
-        # domain is always a subset of the interner's (every indexed key
-        # passes through interning), so equal sizes mean the index holds
-        # every interned key and the guard cannot demote anything — the
-        # steady state until a reclaim or a hybrid coalesce discards keys.
+        # Index-membership guard.  The index's key domain is always a
+        # subset of the interner's (every indexed key passes through
+        # interning), so equal sizes mean the index holds every interned
+        # key and the guard cannot demote anything — the steady state
+        # until a reclaim or a hybrid coalesce discards keys.
         # The filter probes the placement dict per survivor rather than
         # using a keys()-view set difference: dict-view set algebra copies
         # the whole view into a temporary set, which is O(index) per
@@ -238,7 +207,7 @@ def _partition_columnar(
         # read-only.  Every consumer skips these containers outright
         # (``invalid_bytes == 0`` means nothing to migrate or reclaim), so
         # materialising the valid columns here would be pure waste — they
-        # stay ``None``, like a legacy partition's.
+        # stay ``None``.
         return ContainerPartition(container.entries, [], 0)
     if not survivors:
         return ContainerPartition(
@@ -265,17 +234,6 @@ def _partition_columnar(
 def partition(ctx: SweepContext, container_id: int) -> ContainerPartition:
     """:func:`partition_members` against a sweep context."""
     return partition_members(ctx.store, ctx.index, ctx.recipes, ctx.mark, container_id)
-
-
-def partition_container(ctx: SweepContext, container_id: int) -> tuple[list[ChunkRef], int]:
-    """Compatibility shim: ``(valid_entries, invalid_bytes)`` of one pass."""
-    part = partition(ctx, container_id)
-    return part.valid, part.invalid_bytes
-
-
-def invalid_keys(ctx: SweepContext, container_id: int) -> list[bytes]:
-    """Compatibility shim: the invalid-key column of :func:`partition`."""
-    return partition(ctx, container_id).invalid_keys
 
 
 class JournaledCopyForward:
@@ -497,12 +455,10 @@ def sweep_source(
 ) -> None:
     """Classic per-source sweep body shared by the STW and incremental
     engines: read the source if anything survives, copy the valid chunks
-    forward (batched on the columnar path, per-chunk with payloads on the
-    legacy/byte-level path), and schedule the reclaim."""
+    forward (batched, or per chunk with its payload for a byte-level
+    container), and schedule the reclaim."""
     payload_source = ctx.store.read_container(container_id) if part.valid else None
-    if part.valid_keys is not None and (
-        payload_source is None or not payload_source.has_payloads()
-    ):
+    if payload_source is None or not payload_source.has_payloads():
         copy_forward.migrate_batch(
             part.valid,
             part.valid_keys,

@@ -1,10 +1,11 @@
 """Array-backed recipes over interned chunk ids.
 
-A :class:`ColumnarRecipe` stores one backup's chunk references as two
-parallel ``array('q')`` columns — interned chunk ids and sizes — instead of
-a ``tuple`` of per-chunk :class:`~repro.model.ChunkRef` objects.  At full
-scale a recipe holds tens of thousands of entries and the system holds a
-hundred recipes, so the representation matters twice over:
+A :class:`ColumnarRecipe` — the one recipe representation — stores a
+backup's chunk references as two parallel ``array('q')`` columns, interned
+chunk ids and sizes, rather than one :class:`~repro.model.ChunkRef` object
+per chunk.  At full scale a recipe holds tens of thousands of entries and
+the system holds a hundred recipes, so the representation matters twice
+over:
 
 * memory — 16 bytes per entry in two flat buffers versus a ~100-byte
   ``ChunkRef`` (object header, two slots, an interned-elsewhere bytes key);
@@ -12,11 +13,11 @@ hundred recipes, so the representation matters twice over:
   resolution) iterate ints from a C buffer and index flat lists, instead of
   dereferencing an attribute pair per chunk.
 
-The legacy :class:`~repro.index.recipe.Recipe` API is preserved as *views*:
-``entries`` is a lazy sequence materialising ``ChunkRef``s on demand (so
-verification, analysis, and the rewriting-policy paths run unchanged), and
-``fingerprints()`` / ``unique_fingerprints()`` resolve through the
-interner's id → key table at C speed.
+Per-entry consumers read *views*: ``entries`` is a lazy sequence
+materialising ``ChunkRef``s on demand (verification, analysis, byte-level
+restore, and the rewriting policies walk it), and ``fingerprints()`` /
+``unique_fingerprints()`` resolve through the interner's id → key table at
+C speed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class RecipeEntriesView:
     """Sequence view over a columnar recipe, yielding ``ChunkRef``s.
 
     Supports ``len``, iteration, integer indexing, and slicing (a slice
-    returns a tuple, matching the legacy ``tuple[ChunkRef, ...]`` shape).
+    returns a tuple).
     """
 
     __slots__ = ("_ids", "_sizes", "_keys")
@@ -117,7 +118,7 @@ class ColumnarRecipe:
         return self._sizes
 
     # ------------------------------------------------------------------
-    # Legacy Recipe API, as views
+    # Per-entry views
     # ------------------------------------------------------------------
 
     @property

@@ -12,69 +12,11 @@ logically deleted (awaiting GC), and purged.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from repro.errors import BackupAlreadyDeletedError, UnknownBackupError
 from repro.index.columnar import ColumnarRecipe
 from repro.index.interning import FingerprintInterner
-from repro.model import ChunkRef
-
-
-@dataclass(frozen=True)
-class Recipe:
-    """One backup's recipe: identity plus its ordered chunk references."""
-
-    backup_id: int
-    entries: tuple[ChunkRef, ...]
-    #: Which workload source produced this backup (e.g. 'wiki', 'redis-0');
-    #: purely informational, used by experiment reports.
-    source: str = ""
-
-    @cached_property
-    def logical_size(self) -> int:
-        """The backup's pre-dedup size in bytes (computed once, cached).
-
-        GC touches every recipe's size each round; entries are immutable,
-        so the O(n) sum is paid on first access only.  ``cached_property``
-        writes the instance ``__dict__`` directly, which is legal on a
-        frozen (non-slots) dataclass.
-        """
-        return sum(entry.size for entry in self.entries)
-
-    @cached_property
-    def chunk_starts(self) -> "array":
-        """Exclusive prefix sums of chunk sizes: byte offset where each
-        chunk begins in the logical stream (computed once, cached).
-
-        ``chunk_starts[i]`` is the stream offset of chunk ``i``; the read
-        serving layer bisects this column to map ``(offset, length)``
-        windows onto chunk ranges without walking the recipe.
-        """
-        starts = array("q", bytes(8 * len(self.entries)))
-        offset = 0
-        for i, entry in enumerate(self.entries):
-            starts[i] = offset
-            offset += entry.size
-        return starts
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.entries)
-
-    def fingerprints(self) -> Iterator[bytes]:
-        """Fingerprints in stream order (with duplicates, as stored)."""
-        for entry in self.entries:
-            yield entry.fp
-
-    def unique_fingerprints(self) -> set[bytes]:
-        return {entry.fp for entry in self.entries}
-
-
-#: Either recipe representation; both expose the same read API.
-AnyRecipe = Union[Recipe, ColumnarRecipe]
 
 
 class RecipeStore:
@@ -82,64 +24,60 @@ class RecipeStore:
 
     The store also owns the service's :class:`FingerprintInterner` — the
     id space every :class:`~repro.index.columnar.ColumnarRecipe` it holds
-    is encoded against — and tracks whether the current population is
-    homogeneously columnar, which is the precondition for the GC mark
-    stage's array-sweep kernel.
+    is encoded against, which is what lets the GC kernels treat recipe ids
+    and container manifest ids as one domain.
     """
 
     def __init__(self) -> None:
-        self._recipes: dict[int, AnyRecipe] = {}
+        self._recipes: dict[int, ColumnarRecipe] = {}
         self._deleted: set[int] = set()
         self._next_id = 0
         self.interner = FingerprintInterner()
-        #: Live count of stored recipes in the legacy tuple representation.
-        self._tuple_recipes = 0
 
     def new_backup_id(self) -> int:
         backup_id = self._next_id
         self._next_id += 1
         return backup_id
 
-    def all_columnar(self) -> bool:
-        """True when every stored recipe is a :class:`ColumnarRecipe`
-        encoded against :attr:`interner` (vacuously true when empty)."""
-        return self._tuple_recipes == 0
+    def _check_interner(self, recipe: ColumnarRecipe) -> None:
+        # Ids are only meaningful against the interner that minted them:
+        # a foreign recipe's ids would be unioned into the mark's live set
+        # as if they were this store's.
+        if recipe.interner is not self.interner:
+            raise ValueError(
+                f"recipe of backup {recipe.backup_id} is encoded against a "
+                "different interner than this store's"
+            )
 
-    def add(self, recipe: AnyRecipe) -> None:
+    def add(self, recipe: ColumnarRecipe) -> None:
+        self._check_interner(recipe)
         if recipe.backup_id in self._recipes:
-            raise UnknownBackupError(f"backup {recipe.backup_id} already stored")
+            raise ValueError(f"backup {recipe.backup_id} already stored")
         self._recipes[recipe.backup_id] = recipe
-        if isinstance(recipe, ColumnarRecipe):
-            # Pre-warm the distinct-id cache on the ingest path: the GC
-            # mark/sweep kernels consume it heavily, and building it here —
-            # a sub-permille cost against ingest itself — keeps that
-            # first-touch materialisation out of the timed GC cycle.
-            recipe.unique_ids()
-        else:
-            self._tuple_recipes += 1
+        # Pre-warm the distinct-id cache on the ingest path: the GC
+        # mark/sweep kernels consume it heavily, and building it here —
+        # a sub-permille cost against ingest itself — keeps that
+        # first-touch materialisation out of the timed GC cycle.
+        recipe.unique_ids()
 
-    def get(self, backup_id: int) -> AnyRecipe:
+    def get(self, backup_id: int) -> ColumnarRecipe:
         recipe = self._recipes.get(backup_id)
         if recipe is None:
             raise UnknownBackupError(f"backup {backup_id} unknown")
         return recipe
 
-    def replace(self, recipe: AnyRecipe) -> None:
+    def replace(self, recipe: ColumnarRecipe) -> None:
         """Swap in a rebuilt recipe for an already-stored backup id.
 
         Recipes are immutable by convention, so "repointing" a reference
         (the GC rededup pass folding a deferred duplicate onto its
         canonical copy) means building a new recipe object and replacing
-        the stored one.  Deletion state is keyed by id and untouched; the
-        tuple-representation census is adjusted if the replacement changes
-        representation.
+        the stored one.  Deletion state is keyed by id and untouched.
         """
-        old = self._recipes.get(recipe.backup_id)
-        if old is None:
+        self._check_interner(recipe)
+        if recipe.backup_id not in self._recipes:
             raise UnknownBackupError(f"backup {recipe.backup_id} unknown")
         self._recipes[recipe.backup_id] = recipe
-        if isinstance(old, ColumnarRecipe) != isinstance(recipe, ColumnarRecipe):
-            self._tuple_recipes += 1 if isinstance(old, ColumnarRecipe) else -1
 
     def mark_deleted(self, backup_id: int) -> None:
         """Logically delete a backup (its recipe stays until GC purges it)."""
@@ -155,7 +93,7 @@ class RecipeStore:
     def is_deleted(self, backup_id: int) -> bool:
         return backup_id in self._deleted
 
-    def purge_deleted(self, only: Iterable[int] | None = None) -> list[AnyRecipe]:
+    def purge_deleted(self, only: Iterable[int] | None = None) -> list[ColumnarRecipe]:
         """Drop logically deleted recipes (called at the end of GC); returns
         the purged recipes so GC reports can account them.
 
@@ -170,9 +108,6 @@ class RecipeStore:
             targets = [b for b in sorted(only) if b in self._deleted]
         purged = [self._recipes.pop(backup_id) for backup_id in targets]
         self._deleted.difference_update(targets)
-        for recipe in purged:
-            if not isinstance(recipe, ColumnarRecipe):
-                self._tuple_recipes -= 1
         return purged
 
     def live_ids(self) -> list[int]:
@@ -183,11 +118,11 @@ class RecipeStore:
         """Ids of logically deleted, not-yet-purged backups, ascending."""
         return sorted(self._deleted)
 
-    def live_recipes(self) -> Iterator[AnyRecipe]:
+    def live_recipes(self) -> Iterator[ColumnarRecipe]:
         for backup_id in self.live_ids():
             yield self._recipes[backup_id]
 
-    def deleted_recipes(self) -> Iterator[AnyRecipe]:
+    def deleted_recipes(self) -> Iterator[ColumnarRecipe]:
         for backup_id in self.deleted_ids():
             yield self._recipes[backup_id]
 

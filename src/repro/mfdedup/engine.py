@@ -27,7 +27,7 @@ from repro.dedup.pipeline import IngestResult
 from repro.errors import BackupAlreadyDeletedError
 from repro.gc.report import GCReport
 from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import AnyRecipe, Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.mfdedup.volumes import VolumeStore
 from repro.model import Chunk, ChunkRef
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -40,10 +40,9 @@ from repro.simio.disk import DiskModel
 class MFDedupService(BackupService):
     """MFDedup: neighbor dedup + lifecycle volumes + deletion-only GC.
 
-    ``columnar`` selects the recipe representation: id/size columns against
-    the store's interner (default; the interner here maps 20-byte logical
-    fingerprints, not storage keys — MFDedup has no rewriting, so one copy
-    per fingerprint) or the legacy tuple of :class:`~repro.model.ChunkRef`.
+    Recipes are id/size columns against the recipe store's interner, which
+    here maps 20-byte logical fingerprints, not storage keys — MFDedup has
+    no rewriting, so one copy per fingerprint.
     """
 
     name = "mfdedup"
@@ -52,14 +51,12 @@ class MFDedupService(BackupService):
         self,
         config: SystemConfig | None = None,
         tracer: Tracer | None = None,
-        columnar: bool = True,
         gc_mode: str = "stw",
         gc_budget=None,
         read_cache_chunks: int | None = 1024,
     ):
         self.config = config or SystemConfig.scaled()
         self.config.validate()
-        self.columnar = columnar
         # Explicit None test: an empty TraceRecorder is falsy (len == 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.disk = DiskModel(self.config.disk, tracer=self.tracer)
@@ -94,8 +91,6 @@ class MFDedupService(BackupService):
     def ingest(self, stream: ChunkStream, source: str = "") -> IngestResult:
         backup_id = self.recipes.new_backup_id()
         current: dict[bytes, int] = {}
-        columnar = self.columnar
-        entries: list[ChunkRef] = []
         ids = array("q")
         sizes = array("q")
         ids_append = ids.append
@@ -113,11 +108,8 @@ class MFDedupService(BackupService):
                 fp = ref.fp
                 size = ref.size
                 logical_bytes += size
-                if columnar:
-                    ids_append(intern(fp))
-                    sizes_append(size)
-                else:
-                    entries.append(ChunkRef(fp=fp, size=size))
+                ids_append(intern(fp))
+                sizes_append(size)
                 if fp in current:
                     dedup_bytes += size  # intra-backup duplicate
                     continue
@@ -167,18 +159,15 @@ class MFDedupService(BackupService):
                 dedup_bytes=dedup_bytes,
             )
 
-        recipe: AnyRecipe
-        if columnar:
-            recipe = ColumnarRecipe(
+        self.recipes.add(
+            ColumnarRecipe(
                 backup_id=backup_id,
                 interner=self.recipes.interner,
                 chunk_ids=ids,
                 chunk_sizes=sizes,
                 source=source,
             )
-        else:
-            recipe = Recipe(backup_id=backup_id, entries=tuple(entries), source=source)
-        self.recipes.add(recipe)
+        )
         self._previous = current
         self._previous_id = backup_id
         self._cumulative_logical += logical_bytes
@@ -191,7 +180,7 @@ class MFDedupService(BackupService):
         result = IngestResult(
             backup_id=backup_id,
             logical_bytes=logical_bytes,
-            num_chunks=len(ids) if columnar else len(entries),
+            num_chunks=len(ids),
             stored_bytes=stored_bytes,
             dedup_bytes=dedup_bytes,
             rewritten_bytes=0,

@@ -52,13 +52,9 @@ class AssemblyRestoreEngine:
     def restore(self, backup_id: int) -> RestoreReport:
         """Restore one backup; returns container-read accounting."""
         recipe = self.recipes.get(backup_id)
-        container_reads = 0
 
         with self.disk.phase("restore") as ph:
-            if isinstance(recipe, ColumnarRecipe):
-                container_reads = self._restore_columnar(recipe)
-            else:
-                container_reads = self._restore_entries(recipe)
+            container_reads = self._restore_columnar(recipe)
             ph.annotate(backup_id=backup_id, containers_read=container_reads)
 
         return RestoreReport(
@@ -71,38 +67,11 @@ class AssemblyRestoreEngine:
             cache_hits=0,
         )
 
-    def _restore_entries(self, recipe) -> int:
-        """Per-entry span walk over a legacy tuple recipe."""
-        container_reads = 0
-        position = 0
-        entries = recipe.entries
-        while position < len(entries):
-            # Build one assembly span: the longest prefix fitting the area.
-            span_bytes = 0
-            end = position
-            while end < len(entries):
-                size = entries[end].size
-                if span_bytes + size > self.assembly_bytes and end > position:
-                    break
-                span_bytes += size
-                end += 1
-
-            # One read per distinct container used within the span.
-            needed: set[int] = set()
-            for entry in entries[position:end]:
-                needed.add(self.index.get(entry.fp).container_id)
-            for container_id in sorted(needed):
-                self.store.read_container(container_id)
-                container_reads += 1
-
-            position = end
-        return container_reads
-
     def _restore_columnar(self, recipe: ColumnarRecipe) -> int:
         """Batched span walk: resolve the whole recipe to a container-id
-        column once, then cut spans over the size column.  Span boundaries
-        and the per-span sorted distinct-container reads are identical to
-        the per-entry walk."""
+        column once, then cut spans over the size column (one assembly
+        span = the longest prefix fitting the area) and read each span's
+        distinct containers once, in sorted order."""
         keys = recipe.interner.keys()
         index_get = self.index.get
         ids = recipe.chunk_ids

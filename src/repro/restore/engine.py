@@ -45,9 +45,31 @@ class RestoreEngine:
         self.cache_containers = cache_containers
 
     def restore(self, backup_id: int) -> RestoreReport:
-        """Restore one backup; returns its I/O accounting."""
-        report, _ = self._run(backup_id, collect_data=False)
-        return report
+        """Restore one backup; returns its I/O accounting.
+
+        Batched: resolve the whole recipe to a container-id column, then
+        drive the cache over the column.  Each *unique* chunk resolves
+        through :meth:`FingerprintIndex.get` exactly once, at its first
+        occurrence (so an unknown chunk raises where a per-entry walk
+        would); the cache sees the per-entry container sequence, so
+        hit/miss counters, simulated reads, and eviction events are those
+        of :meth:`restore_bytes`.
+        """
+        recipe = self.recipes.get(backup_id)
+        cache = ContainerCache(self.store, self.cache_containers)
+        with self.disk.phase("restore") as ph:
+            keys = recipe.interner.keys()
+            index_get = self.index.get
+            ids = recipe.chunk_ids
+            # ``dict.fromkeys`` collects unique ids in first-occurrence order
+            # at C speed; the full column is then one C-level ``map`` over
+            # the memo.
+            container_of = dict.fromkeys(ids)
+            for chunk_id in container_of:
+                container_of[chunk_id] = index_get(keys[chunk_id]).container_id
+            cache.read_column(array("q", map(container_of.__getitem__, ids)))
+            self._annotate(ph, recipe, cache)
+        return self._report(recipe, cache, ph)
 
     def restore_bytes(self, backup_id: int) -> tuple[RestoreReport, bytes]:
         """Restore one backup and return its reassembled content.
@@ -56,88 +78,42 @@ class RestoreEngine:
         raises :class:`IntegrityError` if any chunk's bytes are missing or
         of the wrong length.
         """
-        report, data = self._run(backup_id, collect_data=True)
-        assert data is not None
-        return report, data
-
-    def _run(self, backup_id: int, collect_data: bool) -> tuple[RestoreReport, bytes | None]:
         recipe = self.recipes.get(backup_id)
         cache = ContainerCache(self.store, self.cache_containers)
-        # Accounting-only restores of columnar recipes take the batched
-        # kernel; byte-collecting restores need the per-entry payload walk.
-        if not collect_data and isinstance(recipe, ColumnarRecipe):
-            return self._run_columnar(backup_id, recipe, cache), None
-        pieces: list[bytes] = [] if collect_data else None  # type: ignore[assignment]
-
+        pieces: list[bytes] = []
         with self.disk.phase("restore") as ph:
             for entry in recipe.entries:
                 placement = self.index.get(entry.fp)
                 container = cache.get(placement.container_id)
-                if collect_data:
-                    payload = container.payload(entry.fp)
-                    if payload is None:
-                        raise IntegrityError(
-                            f"container {container.container_id} holds no payload for a "
-                            f"chunk of backup {backup_id} (trace-level data cannot be "
-                            "restored to bytes)"
-                        )
-                    if len(payload) != entry.size:
-                        raise IntegrityError(
-                            f"payload size mismatch for backup {backup_id}: "
-                            f"expected {entry.size}, got {len(payload)}"
-                        )
-                    pieces.append(payload)
-            ph.annotate(
-                backup_id=backup_id,
-                containers_read=cache.misses,
-                cache_hits=cache.hits,
-                logical_bytes=recipe.logical_size,
-            )
+                payload = container.payload(entry.fp)
+                if payload is None:
+                    raise IntegrityError(
+                        f"container {container.container_id} holds no payload for a "
+                        f"chunk of backup {backup_id} (trace-level data cannot be "
+                        "restored to bytes)"
+                    )
+                if len(payload) != entry.size:
+                    raise IntegrityError(
+                        f"payload size mismatch for backup {backup_id}: "
+                        f"expected {entry.size}, got {len(payload)}"
+                    )
+                pieces.append(payload)
+            self._annotate(ph, recipe, cache)
+        return self._report(recipe, cache, ph), b"".join(pieces)
 
-        report = RestoreReport(
-            backup_id=backup_id,
-            logical_bytes=recipe.logical_size,
-            num_chunks=recipe.num_chunks,
+    @staticmethod
+    def _annotate(ph, recipe: ColumnarRecipe, cache: ContainerCache) -> None:
+        ph.annotate(
+            backup_id=recipe.backup_id,
             containers_read=cache.misses,
-            container_bytes_read=ph.delta.read_bytes,
-            read_seconds=ph.delta.read_seconds,
             cache_hits=cache.hits,
+            logical_bytes=recipe.logical_size,
         )
-        return report, (b"".join(pieces) if collect_data else None)
 
-    def _run_columnar(
-        self, backup_id: int, recipe: ColumnarRecipe, cache: ContainerCache
-    ) -> RestoreReport:
-        """Batched restore: resolve the whole recipe to a container-id
-        column, then drive the cache over the column.
-
-        Each *unique* chunk resolves through :meth:`FingerprintIndex.get`
-        exactly once (at its first occurrence, preserving the per-entry
-        kernel's error behaviour for unknown chunks); the cache then sees
-        the same container sequence the per-entry loop would produce, so
-        hit/miss counters, simulated reads, and eviction events match.
-        """
-        with self.disk.phase("restore") as ph:
-            keys = recipe.interner.keys()
-            index_get = self.index.get
-            ids = recipe.chunk_ids
-            # ``dict.fromkeys`` collects unique ids in first-occurrence order
-            # at C speed; resolving per unique id preserves the per-entry
-            # kernel's error order for unknown chunks.  The full column is
-            # then one C-level ``map`` over the memo.
-            container_of = dict.fromkeys(ids)
-            for chunk_id in container_of:
-                container_of[chunk_id] = index_get(keys[chunk_id]).container_id
-            cache.read_column(array("q", map(container_of.__getitem__, ids)))
-            ph.annotate(
-                backup_id=backup_id,
-                containers_read=cache.misses,
-                cache_hits=cache.hits,
-                logical_bytes=recipe.logical_size,
-            )
-
+    @staticmethod
+    def _report(recipe: ColumnarRecipe, cache: ContainerCache, ph) -> RestoreReport:
         return RestoreReport(
-            backup_id=backup_id,
+            backup_id=recipe.backup_id,
             logical_bytes=recipe.logical_size,
             num_chunks=recipe.num_chunks,
             containers_read=cache.misses,

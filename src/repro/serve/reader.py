@@ -33,7 +33,7 @@ from typing import Callable, Protocol
 
 from repro.errors import IntegrityError
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import AnyRecipe
+from repro.index.columnar import ColumnarRecipe
 from repro.restore.report import RestoreReport
 from repro.serve.cache import TieredReadCache
 from repro.serve.report import ReadReport
@@ -140,7 +140,7 @@ class BackupReader:
     def __init__(
         self,
         backup_id: int,
-        recipe: AnyRecipe,
+        recipe: ColumnarRecipe,
         strategy: ReadStrategy,
         disk: DiskModel,
         restore: Callable[[], RestoreReport],

@@ -26,14 +26,12 @@ if TYPE_CHECKING:
 class Container:
     """One container: an ordered list of chunk entries within a capacity.
 
-    Sealed containers of a columnar service additionally carry an
-    *interned-id manifest*: parallel ``array('q')`` id/size columns over the
-    entry list (plus a cached distinct-id set), built once at seal time and
-    immutable thereafter.  The GC sweep kernels partition validity against
-    these columns with C-level set algebra instead of walking ``entries``
-    one :class:`~repro.model.ChunkRef` at a time.  Legacy services never
-    bind an interner to their store, so their containers keep
-    ``chunk_ids is None`` and the per-entry code paths.
+    Sealed containers additionally carry an *interned-id manifest*:
+    parallel ``array('q')`` id/size columns over the entry list (plus a
+    cached distinct-id set), built once at seal time against the store's
+    interner and immutable thereafter.  The GC sweep kernels partition
+    validity against these columns with C-level set algebra instead of
+    walking ``entries`` one :class:`~repro.model.ChunkRef` at a time.
     """
 
     __slots__ = (
@@ -138,9 +136,9 @@ class Container:
 
         Idempotent and cheap to re-run; called at seal time by the store's
         commit path and again by :meth:`ContainerStore.peek
-        <repro.storage.store.ContainerStore.peek>` for containers sealed
-        before the interner was bound (e.g. rebuilt state after recovery).
-        Every key of a columnar service's sealed container was interned
+        <repro.storage.store.ContainerStore.peek>` for containers that
+        reached the store some other way (e.g. rebuilt state after
+        recovery).  Every key of a service's sealed container was interned
         during ingest/migration, so :meth:`intern
         <repro.index.interning.FingerprintInterner.intern>` here is a pure
         dict probe; genuinely fresh keys (hand-built test containers) are
@@ -160,8 +158,8 @@ class Container:
     def distinct_ids(self) -> frozenset[int]:
         """The distinct interned ids of this container's manifest (cached).
 
-        Only valid once :meth:`build_manifest` ran; raises ``TypeError``
-        otherwise (``frozenset(None)``) — callers gate on ``chunk_ids``.
+        Only valid once :meth:`build_manifest` ran (the store runs it at
+        commit); raises ``TypeError`` otherwise (``frozenset(None)``).
         """
         ids = self._distinct_ids
         if ids is None:

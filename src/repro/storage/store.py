@@ -19,26 +19,34 @@ attribute check per container — not per chunk).
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import UnknownContainerError
 from repro.faults.journal import IntentJournal
 from repro.simio.disk import DiskModel
 from repro.storage.container import Container
 
+if TYPE_CHECKING:
+    from repro.index.interning import FingerprintInterner
+
 
 class ContainerStore:
-    """Durable map of container id → sealed :class:`Container`."""
+    """Durable map of container id → sealed :class:`Container`.
 
-    def __init__(self, capacity: int, disk: DiskModel):
+    ``interner`` is the owning service's fingerprint interner (the recipe
+    store's): every sealed container gets an interned-id manifest over it
+    — parallel ``array('q')`` id/size columns the sweep kernels partition
+    with set algebra, in the same id space as the recipes.
+    """
+
+    def __init__(
+        self, capacity: int, disk: DiskModel, interner: "FingerprintInterner"
+    ):
         self.capacity = capacity
         self.disk = disk
         self._containers: dict[int, Container] = {}
         self._next_id = 0
-        #: Interner of the owning service's recipe store, bound only on the
-        #: columnar path; sealed containers then carry an id manifest (see
-        #: :meth:`bind_interner`).
-        self._interner = None
+        self._interner = interner
         #: Monotonic counters for auditing GC behaviour.
         self.containers_written = 0
         self.containers_deleted = 0
@@ -49,18 +57,6 @@ class ContainerStore:
         #: Caches to notify when a container leaves the store.  Weak so a
         #: per-restore cache does not outlive its restore.
         self._caches: "weakref.WeakSet" = weakref.WeakSet()
-
-    def bind_interner(self, interner) -> None:
-        """Bind the service's fingerprint interner (columnar path only).
-
-        From here on every sealed container gets an interned-id manifest —
-        parallel ``array('q')`` id/size columns the sweep kernels partition
-        with set algebra.  Containers sealed *before* the bind are
-        rehydrated lazily by :meth:`peek`.  Legacy services never call this,
-        keeping their containers manifest-free and the per-entry sweep loops
-        in charge.
-        """
-        self._interner = interner
 
     def register_cache(self, cache) -> None:
         """Subscribe a :class:`~repro.storage.cache.ContainerCache` for
@@ -88,8 +84,7 @@ class ContainerStore:
         container.seal()
         if not container.entries:
             return  # nothing to persist; id is simply burned
-        if self._interner is not None:
-            container.build_manifest(self._interner)
+        container.build_manifest(self._interner)
         intent = self.journal.begin(
             "container.write", container_id=container.container_id
         )
@@ -141,9 +136,9 @@ class ContainerStore:
         container = self._containers.get(container_id)
         if container is None:
             raise UnknownContainerError(f"container {container_id} not in store")
-        if self._interner is not None and container.chunk_ids is None:
-            # Sealed before the interner was bound (or hand-seeded state):
-            # rehydrate the manifest so the columnar sweep kernels apply.
+        if container.chunk_ids is None:
+            # Installed without passing through commit (recovery rebuilds,
+            # hand-seeded state): rehydrate the manifest.
             container.build_manifest(self._interner)
         return container
 

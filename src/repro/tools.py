@@ -19,11 +19,11 @@ Four subcommands, usable as ``python -m repro.tools <cmd>`` or the
   as the ``repro-faults`` console script.
 
 ``repro`` is additionally the umbrella for the repo's other tools:
-``repro bench``, ``repro experiments``, ``repro fleet``, and
-``repro serve`` forward their remaining arguments to the corresponding
-tool's own parser, so one command surfaces everything.  The historical
-per-tool console scripts (``repro-bench``, ``repro-experiments``,
-``repro-fleet``, ``repro-faults``) remain as thin aliases.
+``repro experiments``, ``repro fleet``, and ``repro serve`` forward their
+remaining arguments to the corresponding tool's own parser, so one command
+surfaces everything.  The historical per-tool console scripts
+(``repro-experiments``, ``repro-fleet``, ``repro-faults``) remain as thin
+aliases.
 """
 
 from __future__ import annotations
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Umbrella subcommands forwarded verbatim to another tool's parser.
 FORWARDED_TOOLS = {
-    "bench": "hot-path benchmark harness (alias: repro-bench)",
     "experiments": "paper figure/table runner (alias: repro-experiments)",
     "fleet": "sharded multi-tenant fleet (alias: repro-fleet)",
     "serve": "read-serving benchmark (writes BENCH_serve.json)",
@@ -371,9 +370,7 @@ FORWARDED_TOOLS = {
 def _forwarded_main(tool: str):
     """The forwarded tool's ``main`` (imported lazily: the umbrella must
     not drag every tool's dependency graph into ``repro trace``)."""
-    if tool == "bench":
-        from repro.bench import main as tool_main
-    elif tool == "experiments":
+    if tool == "experiments":
         from repro.experiments.run import main as tool_main
     elif tool == "fleet":
         from repro.fleet.cli import main as tool_main

@@ -6,6 +6,8 @@ import pytest
 
 from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
 from repro.hashing.fingerprints import synthetic_fingerprint
+from repro.index.columnar import ColumnarRecipe
+from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 
 
@@ -38,3 +40,18 @@ def refs(namespace: str, ids, version: int = 0, size: int = 512) -> list[ChunkRe
 
 def stream_bytes(stream) -> int:
     return sum(ref.size for ref in stream)
+
+
+def columnar_recipe(
+    interner: FingerprintInterner, backup_id: int, entries, source: str = ""
+) -> ColumnarRecipe:
+    """A recipe over ``entries`` (chunk refs, stream order), encoded against
+    ``interner`` — pass the target ``RecipeStore``'s own."""
+    entries = list(entries)
+    return ColumnarRecipe(
+        backup_id,
+        interner,
+        [interner.intern(entry.fp) for entry in entries],
+        [entry.size for entry in entries],
+        source=source,
+    )

@@ -6,8 +6,10 @@ from repro.config import GCCDFConfig
 from repro.core.analyzer import Analyzer, ReferenceChecker
 from repro.dedup.keys import storage_key
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.conftest import columnar_recipe
 
 
 def key_ref(i: int, size: int = 100) -> ChunkRef:
@@ -20,9 +22,10 @@ def build_recipes(memberships: dict[int, list[int]]) -> RecipeStore:
     for backup_id in sorted(memberships):
         assert store.new_backup_id() == backup_id
         store.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(key_ref(i) for i in memberships[backup_id]),
+            columnar_recipe(
+                store.interner,
+                backup_id,
+                (key_ref(i) for i in memberships[backup_id]),
             )
         )
     return store

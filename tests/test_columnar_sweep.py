@@ -1,97 +1,44 @@
-"""Columnar sweep-engine equivalence (the batched GC/copy-forward path).
+"""Sweep-engine equivalence and the substrate it runs on.
 
-The columnar sweep kernels — manifest-backed validity partitioning,
+The sweep kernels — manifest-backed validity partitioning,
 ``migrate_batch`` copy-forward runs, ``lookup_many``/``relocate_many`` bulk
-index probes — must leave the system in an *observationally identical*
-end state to the legacy per-chunk loops: same surviving containers with
-the same chunk layout (which pins the reclaim and copy-forward write
-order), same stored bytes, same index contents and probe counters, same
-GC reports and journal traffic.  A property test drives both
-representations through randomized ingest/delete/GC sequences across
-every approach and both GC modes; unit tests pin the container manifest
-(build, incremental maintenance, desync rebuild, rehydration) and the
-bulk index kernels' counter/error parity.
+index probes — are driven by two engines: stop-the-world
+(:class:`~repro.gc.engine.MarkSweepGC`) and budgeted incremental
+(:class:`~repro.gc.incremental.IncrementalGC`).  A drained incremental
+cycle must leave the system in an *observationally identical* end state to
+a stop-the-world round: same surviving containers with the same chunk
+layout (which pins the reclaim and copy-forward write order), same stored
+bytes, same index contents and probe counters, same GC reports.  A
+property test drives both engines through randomized ingest/delete/GC
+sequences across every approach and GCCDF's Bloom ablation (the fixed
+cells of ``tests/test_end_state_digests.py`` pin the same snapshot against
+the frozen tuple-recipe oracle); unit tests pin the container manifest
+(build, incremental maintenance, desync rebuild, rehydration) and the bulk
+index kernels' counter/error parity.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backup.approaches import APPROACHES, make_service
 from repro.backup.options import ServiceOptions
-from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
+from repro.backup.verify import verify_service
+from repro.chunking.base import split
+from repro.chunking.fastcdc import FastCDC
 from repro.errors import UnknownChunkError
+from repro.gc.incremental import GCBudget
+from repro.gc.migration import JournaledCopyForward
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 from repro.storage.container import Container
+from repro.util.rng import DeterministicRng
 
 from tests.conftest import refs
-
-
-def make_config() -> SystemConfig:
-    config = SystemConfig(
-        container_size=4096,
-        chunking=ChunkingConfig(min_size=128, avg_size=512, max_size=1024),
-        retention=RetentionConfig(retained=6, turnover=2),
-    )
-    config.validate()
-    return config
-
-
-# ---------------------------------------------------------------------------
-# End-state snapshot: everything the sweep engine can influence
-# ---------------------------------------------------------------------------
-
-
-def snapshot(service) -> dict:
-    """Observable end state of a service, independent of representation."""
-    state: dict = {
-        "stats": service.stats(),
-        "live_backups": service.live_backup_ids(),
-    }
-    store = getattr(service, "store", None)
-    if store is not None:
-        # Container ids are allocated in commit order, so the full layout
-        # (id -> ordered (fp, size) entries) pins both the reclaim order
-        # and the copy-forward write order, not just the surviving set.
-        state["layout"] = {
-            container.container_id: [(e.fp, e.size) for e in container]
-            for container in store.containers()
-        }
-        state["stored_bytes"] = store.stored_bytes
-        state["containers_deleted"] = store.containers_deleted
-        journal = store.journal
-        state["journal"] = (journal.begun, journal.closed, len(journal))
-    index = getattr(service, "index", None)
-    if index is not None:  # mfdedup has no flat fingerprint index
-        state["index"] = {
-            fp: (placement.container_id, placement.size)
-            for fp, placement in index.items()
-        }
-        state["probes"] = (
-            index.lookups,
-            index.hits,
-            index.guard_probes,
-            index.guard_skips,
-        )
-    state["gc_reports"] = [
-        # analyze_cpu_seconds is measured interpreter wall time — the one
-        # legitimately representation-dependent field.
-        {
-            k: v
-            for k, v in report.to_dict().items()
-            if k != "analyze_cpu_seconds"
-        }
-        for report in getattr(getattr(service, "gc", None), "history", [])
-    ]
-    state["sim_time"] = service.disk.sim_time
-    return state
-
+from tests.end_state import make_config, snapshot
 
 # One step = ingest a window of the chunk-id space, or rotate (delete the
 # oldest backups and run a full GC cycle).
@@ -112,42 +59,55 @@ sweep_ops = st.lists(
     max_size=10,
 )
 
+#: Small budgets: a drained cycle crosses many increment boundaries.
+SMALL_BUDGET = GCBudget(mark_recipes=2, sweep_containers=1, rededup_keys=2)
+
+
+def engine_states(approach, config, drive) -> dict:
+    """``gc_mode → snapshot`` after ``drive(service)`` on each engine."""
+    states = {}
+    for gc_mode in ("stw", "incremental"):
+        service = make_service(
+            approach,
+            config=config,
+            options=ServiceOptions(gc_mode=gc_mode, gc_budget=SMALL_BUDGET),
+        )
+        drive(service)
+        states[gc_mode] = snapshot(service)
+        # The intent census is each engine's own bookkeeping (``sweep``
+        # rounds vs ``gc.cycle`` cycles), not an output of the sweep.
+        states[gc_mode].pop("journal", None)
+    return states
+
 
 @settings(deadline=None, max_examples=50)
 @given(
     ops=sweep_ops,
     approach=st.sampled_from(APPROACHES),
-    gc_mode=st.sampled_from(["stw", "incremental"]),
-    # GCCDF's reference check: the exact id kernel (columnar) against exact
-    # key sets (legacy), or the Bloom ablation at a false-positive rate
-    # high enough to misplace chunks — identically on both sides.
+    # GCCDF's reference check: the exact id kernel, or the Bloom ablation
+    # at a false-positive rate high enough to misplace chunks —
+    # identically on both engines.
     bloom_fp_rate=st.sampled_from([None, 0.2]),
 )
-def test_sweep_end_state_matches_legacy(ops, approach, gc_mode, bloom_fp_rate):
+def test_sweep_end_state_matches_across_engines(ops, approach, bloom_fp_rate):
     config = make_config()
     if bloom_fp_rate is not None:
         config = config.with_gccdf(
             exact_reference_check=False, bloom_fp_rate=bloom_fp_rate
         )
-    states = {}
-    for columnar in (True, False):
-        service = make_service(
-            approach,
-            config=config,
-            options=ServiceOptions(columnar=columnar, gc_mode=gc_mode),
-        )
+
+    def drive(service):
         for op, a, b in ops:
             if op == "ingest":
                 service.ingest(refs("sweep-prop", range(a, a + b)))
             elif service.live_backup_ids():
                 service.delete_oldest(a)
                 service.run_gc()
-        states[columnar] = snapshot(service)
 
-    columnar_state, legacy_state = states[True], states[False]
-    assert set(columnar_state) == set(legacy_state)
-    for key in columnar_state:
-        assert columnar_state[key] == legacy_state[key], key
+    states = engine_states(approach, config, drive)
+    assert set(states["stw"]) == set(states["incremental"])
+    for key in states["stw"]:
+        assert states["stw"][key] == states["incremental"][key], key
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +198,8 @@ class TestManifest:
         from repro.storage.store import ContainerStore
 
         config = make_config()
-        disk = DiskModel(config.disk)
-        store = ContainerStore(config.container_size, disk)
         interner = FingerprintInterner()
-        store.bind_interner(interner)
+        store = ContainerStore(config.container_size, DiskModel(config.disk), interner)
 
         container = store.allocate()
         chunks = [_ref(i) for i in range(4)]
@@ -254,17 +212,16 @@ class TestManifest:
             ref.fp for ref in chunks
         ]
 
-        # A container sealed before the interner was bound (recovery
-        # rebuilds) gets its manifest lazily on peek.
-        bare_store = ContainerStore(config.container_size, DiskModel(config.disk))
-        bare = bare_store.allocate()
+        # A container installed without passing through commit (recovery
+        # rebuilds, hand-seeded state) gets its manifest lazily on peek.
+        bare = Container(container_id=99, capacity=config.container_size)
         for ref in chunks:
             bare.append(ref)
-        bare_store.commit(bare)
-        assert bare_store.peek(bare.container_id).chunk_ids is None
-        bare_store.bind_interner(interner)
-        rehydrated = bare_store.peek(bare.container_id)
-        assert rehydrated.chunk_ids is not None
+        bare.seal()
+        store._containers[bare.container_id] = bare
+        assert bare.chunk_ids is None
+        rehydrated = store.peek(bare.container_id)
+        assert rehydrated is bare
         assert list(rehydrated.chunk_ids) == [
             interner.id_of(ref.fp) for ref in chunks
         ]
@@ -329,32 +286,76 @@ class TestBulkIndexKernels:
 
 
 # ---------------------------------------------------------------------------
-# Batched copy-forward: GC report and probe counters match legacy per-chunk
+# Batched copy-forward: GC report and probe counters match across engines
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("approach", ["naive", "capping", "gccdf"])
-@pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
-def test_batched_copy_forward_counter_parity(approach, gc_mode):
-    reports = {}
-    probes = {}
-    for columnar in (True, False):
-        service = make_service(
-            approach,
-            config=make_config(),
-            options=ServiceOptions(columnar=columnar, gc_mode=gc_mode),
-        )
+def test_batched_copy_forward_counter_parity(approach):
+    def drive(service):
         for generation in range(6):
             service.ingest(refs("cf-parity", range(generation, generation + 12)))
         service.delete_oldest(2)
-        report = service.run_gc()
-        reports[columnar] = dataclasses.replace(report, analyze_cpu_seconds=0.0)
-        probes[columnar] = (
-            service.index.lookups,
-            service.index.hits,
-            service.index.guard_probes,
-            service.index.guard_skips,
-        )
-    assert reports[True] == reports[False]
-    assert probes[True] == probes[False]
-    assert reports[True].reclaimed_containers > 0  # the sweep actually ran
+        service.run_gc()
+
+    states = engine_states(approach, make_config(), drive)
+    assert states["stw"]["gc_reports"] == states["incremental"]["gc_reports"]
+    assert states["stw"]["probes"] == states["incremental"]["probes"]
+    (report,) = states["stw"]["gc_reports"]
+    assert report["reclaimed_containers"] > 0  # the sweep actually ran
+    assert report["migrated_chunks"] > 0  # ... and copied forward
+
+
+# ---------------------------------------------------------------------------
+# Byte-level services: the per-chunk, payload-carrying copy-forward
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("approach", ["naive", "gccdf"])
+def test_byte_level_rotation_preserves_payloads(approach, monkeypatch):
+    """Containers that carry payloads are swept chunk by chunk
+    (``migrate_chunk`` and the payload arms of ``sweep_source`` /
+    ``migrate_segment``): across a FastCDC rotation every live backup must
+    restore to its original bytes, on both engines, in the same layout."""
+    config = make_config()
+    cdc = FastCDC(config.chunking)
+    rng = DeterministicRng(23)
+
+    def fresh(n: int) -> bytes:
+        return bytes(rng.randint(0, 255) for _ in range(n))
+
+    # Five overlapping images: each keeps most of its predecessor and
+    # replaces a sliding 5 KB window, so containers age into mixed validity.
+    images = [fresh(20_000)]
+    for k in range(1, 5):
+        cut = 3_000 * k
+        images.append(images[-1][:cut] + fresh(5_000) + images[-1][cut + 5_000 :])
+
+    payload_moves = []
+    migrate_chunk = JournaledCopyForward.migrate_chunk
+
+    def spy(self, entry, payload, source_id):
+        payload_moves.append(payload is not None)
+        return migrate_chunk(self, entry, payload, source_id)
+
+    monkeypatch.setattr(JournaledCopyForward, "migrate_chunk", spy)
+
+    def drive(service):
+        originals = {}
+        for k, image in enumerate(images):
+            originals[service.ingest(split(cdc, image)).backup_id] = image
+            if k in (2, 4):  # two delete + GC rounds
+                service.delete_oldest(k // 2)
+                report = service.run_gc()
+                assert report.reclaimed_containers > 0 and report.migrated_chunks > 0
+        assert len(service.live_backup_ids()) == 2
+        for backup_id in service.live_backup_ids():
+            _, restored = service.restore_bytes(backup_id)
+            assert restored == originals[backup_id]
+        assert verify_service(service).errors == []
+        assert len(service.store.journal) == 0  # every intent drained
+
+    states = engine_states(approach, config, drive)
+    assert payload_moves and all(payload_moves)  # the per-chunk path ran, with bytes
+    assert states["stw"]["layout"] == states["incremental"]["layout"]
+    assert states["stw"]["gc_reports"] == states["incremental"]["gc_reports"]

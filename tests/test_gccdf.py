@@ -324,14 +324,9 @@ class TestReferenceCheckAccounting:
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_pinned_rotation_op_counts(
-        self, tiny_config, monkeypatch, exact, gc_mode, columnar
-    ):
+    def test_pinned_rotation_op_counts(self, tiny_config, monkeypatch, exact, gc_mode):
         config = tiny_config.with_gccdf(exact_reference_check=exact)
-        assert self.rotate(
-            config, monkeypatch, gc_mode=gc_mode, columnar=columnar
-        ) == self.PINNED[exact]
+        assert self.rotate(config, monkeypatch, gc_mode=gc_mode) == self.PINNED[exact]
 
     @pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
     def test_default_gc_builds_no_filter_and_no_key_set(

@@ -1,21 +1,19 @@
-"""Columnar/tuple hot-path equivalence (the PR-5 representation change).
+"""The columnar recipe and its substrate (interner, negative-lookup guard).
 
-The columnar engine (interned ids + ``array('q')`` recipe columns + batched
-kernels) must be *observationally identical* to the legacy tuple-of-
-``ChunkRef`` path: same fingerprints in order, same unique sets, same
-logical sizes, and — end to end — the same GC mark results and index probe
-statistics on arbitrary streams.  Property tests drive both representations
-over random inputs; unit tests pin the interner and the Bloom
+A :class:`~repro.index.columnar.ColumnarRecipe` (interned ids +
+``array('q')`` columns) must present exactly the stream it was built from:
+same fingerprints in order, same unique set, same logical size, and an
+``entries`` view indistinguishable from the tuple of ``ChunkRef``s.
+Property tests check the views against the raw stream over random inputs
+(the mark over these recipes is checked against a per-entry model in
+``tests/test_prop_mark.py``); unit tests pin the interner and the Bloom
 negative-lookup guard.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.backup.system import DedupBackupService
-from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
-from repro.gc.mark import MarkStage
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import (
@@ -23,14 +21,13 @@ from repro.index.fingerprint_index import (
     FingerprintIndex,
 )
 from repro.index.interning import FingerprintInterner
-from repro.index.recipe import Recipe
 from repro.model import ChunkRef
 
-from tests.conftest import refs
+from tests.conftest import columnar_recipe
 
 
 # ---------------------------------------------------------------------------
-# Recipe-level equivalence: ColumnarRecipe vs legacy Recipe over one stream
+# Recipe-level equivalence: ColumnarRecipe views vs the stream it encodes
 # ---------------------------------------------------------------------------
 
 # (chunk id, size) pairs; repeated ids model the duplicate-heavy streams the
@@ -45,33 +42,26 @@ stream_entries = st.lists(
 )
 
 
-def build_pair(entries: list[tuple[int, int]]) -> tuple[Recipe, ColumnarRecipe]:
-    chunk_refs = tuple(
+def build_pair(
+    entries: list[tuple[int, int]],
+) -> tuple[tuple[ChunkRef, ...], ColumnarRecipe]:
+    stream = tuple(
         ChunkRef(fp=synthetic_fingerprint("hotpath", i), size=size)
         for i, size in entries
     )
-    legacy = Recipe(backup_id=1, entries=chunk_refs, source="prop")
-    interner = FingerprintInterner()
-    columnar = ColumnarRecipe(
-        backup_id=1,
-        interner=interner,
-        chunk_ids=(interner.intern(ref.fp) for ref in chunk_refs),
-        chunk_sizes=(ref.size for ref in chunk_refs),
-        source="prop",
-    )
-    return legacy, columnar
+    return stream, columnar_recipe(FingerprintInterner(), 1, stream, source="prop")
 
 
 @given(stream_entries)
 def test_fingerprints_in_order_match(entries):
-    legacy, columnar = build_pair(entries)
-    assert list(columnar.fingerprints()) == list(legacy.fingerprints())
+    stream, columnar = build_pair(entries)
+    assert list(columnar.fingerprints()) == [ref.fp for ref in stream]
 
 
 @given(stream_entries)
 def test_unique_fingerprints_match(entries):
-    legacy, columnar = build_pair(entries)
-    assert columnar.unique_fingerprints() == legacy.unique_fingerprints()
+    stream, columnar = build_pair(entries)
+    assert columnar.unique_fingerprints() == {ref.fp for ref in stream}
     # The cached unique-id set agrees with the column it summarises.
     assert columnar.unique_ids() == frozenset(columnar.chunk_ids)
     assert columnar.unique_ids() is columnar.unique_ids()  # cached
@@ -79,90 +69,23 @@ def test_unique_fingerprints_match(entries):
 
 @given(stream_entries)
 def test_logical_size_and_num_chunks_match(entries):
-    legacy, columnar = build_pair(entries)
-    assert columnar.logical_size == legacy.logical_size
+    _, columnar = build_pair(entries)
     assert columnar.logical_size == sum(size for _, size in entries)
-    assert columnar.num_chunks == legacy.num_chunks == len(entries)
+    assert columnar.num_chunks == len(entries)
 
 
 @given(stream_entries)
 def test_entries_view_matches_tuple(entries):
-    legacy, columnar = build_pair(entries)
+    stream, columnar = build_pair(entries)
     view = columnar.entries
-    assert len(view) == len(legacy.entries)
-    assert list(view) == list(legacy.entries)
+    assert len(view) == len(stream)
+    assert list(view) == list(stream)
     for i in range(len(entries)):
-        assert view[i] == legacy.entries[i]
+        assert view[i] == stream[i]
     if entries:
-        assert view[-1] == legacy.entries[-1]
-    assert view[1:7] == legacy.entries[1:7]
-    assert view[::2] == legacy.entries[::2]
-
-
-# ---------------------------------------------------------------------------
-# End-to-end equivalence: GC mark over both representations
-# ---------------------------------------------------------------------------
-
-mark_ops = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=40),  # window start
-        st.integers(min_value=4, max_value=30),  # window length
-    ),
-    min_size=2,
-    max_size=8,
-)
-
-
-def _mark_config(vc_table: str) -> SystemConfig:
-    config = SystemConfig(
-        container_size=4096,
-        chunking=ChunkingConfig(min_size=128, avg_size=512, max_size=1024),
-        retention=RetentionConfig(retained=6, turnover=2),
-        vc_table=vc_table,
-    )
-    config.validate()
-    return config
-
-
-@settings(deadline=None, max_examples=30)
-@given(ops=mark_ops, vc_table=st.sampled_from(["exact", "bloom"]), deletions=st.integers(0, 3))
-def test_mark_results_match_across_representations(ops, vc_table, deletions):
-    services = {}
-    marks = {}
-    for columnar in (True, False):
-        service = DedupBackupService(config=_mark_config(vc_table), columnar=columnar)
-        for start, length in ops:
-            service.ingest(refs("mark-prop", range(start, start + length)))
-        service.delete_oldest(deletions)
-        stage = MarkStage(
-            config=service.config,
-            index=service.index,
-            recipes=service.recipes,
-            disk=service.disk,
-        )
-        services[columnar] = service
-        marks[columnar] = stage.run()
-
-    columnar_mark, legacy_mark = marks[True], marks[False]
-    assert columnar_mark.gs_list == legacy_mark.gs_list
-    assert columnar_mark.rrt == legacy_mark.rrt
-    assert columnar_mark.candidate_keys == legacy_mark.candidate_keys
-
-    # Identical probe accounting: the batched kernels make the same number
-    # of index probes with the same hit counts as the per-entry loops.
-    for attr in ("lookups", "hits"):
-        assert getattr(services[True].index, attr) == getattr(
-            services[False].index, attr
-        ), attr
-
-    # Identical VC tables: probe every indexed key, plus keys never stored
-    # (exercises Bloom false-positive determinism too — both kernels build
-    # bit-identical filters).
-    for key, _ in services[True].index.items():
-        assert (key in columnar_mark.vc_table) == (key in legacy_mark.vc_table)
-    for i in range(50):
-        absent = synthetic_fingerprint("never-stored", i) + b"\x00\x00\x00\x00"
-        assert (absent in columnar_mark.vc_table) == (absent in legacy_mark.vc_table)
+        assert view[-1] == stream[-1]
+    assert view[1:7] == stream[1:7]
+    assert view[::2] == stream[::2]
 
 
 # ---------------------------------------------------------------------------

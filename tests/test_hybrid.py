@@ -12,7 +12,6 @@ GC modes, and across a crash at the ``gc.rededup`` point.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 
 import pytest
@@ -30,12 +29,11 @@ from repro.errors import ConfigError, GCError, SimulatedCrash
 from repro.faults import FaultPlan, recover_service
 from repro.fleet.topology import FleetConfig
 from repro.gc.incremental import GCBudget, IncrementalGC, _CycleCopyForward
-from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.workloads.datasets import dataset
 
-from tests.conftest import refs
+from tests.conftest import columnar_recipe, refs
 
 DATASET = "web"
 
@@ -218,13 +216,14 @@ class TestRededup:
         assert not service.hybrid.candidates
         assert verify_service(service).errors == []
 
-    def test_repoint_recipe_legacy_tuple(self):
+    def test_repoint_recipe(self):
         recipes = RecipeStore()
         dup, canonical, other = b"d" * 24, b"c" * 24, b"o" * 24
         recipes.add(
-            Recipe(
-                backup_id=recipes.new_backup_id(),
-                entries=(
+            columnar_recipe(
+                recipes.interner,
+                recipes.new_backup_id(),
+                (
                     ChunkRef(fp=dup, size=10),
                     ChunkRef(fp=other, size=20),
                     ChunkRef(fp=dup, size=30),
@@ -236,22 +235,8 @@ class TestRededup:
         entries = recipes.get(0).entries
         assert [entry.fp for entry in entries] == [canonical, other, canonical]
         assert [entry.size for entry in entries] == [10, 20, 30]
+        assert recipes.get(0).source == "s"
         # Replays are idempotent: nothing references the dup any more.
-        assert repoint_recipe(recipes, 0, dup, canonical) == 0
-
-    def test_repoint_recipe_columnar(self):
-        recipes = RecipeStore()
-        dup, canonical, other = b"d" * 24, b"c" * 24, b"o" * 24
-        interner = recipes.interner
-        ids = array("q", [interner.intern(dup), interner.intern(other)])
-        recipes.add(
-            ColumnarRecipe(
-                recipes.new_backup_id(), interner, ids, array("q", [10, 20]), source="s"
-            )
-        )
-        assert repoint_recipe(recipes, 0, dup, canonical) == 1
-        rebuilt = recipes.get(0)
-        assert [entry.fp for entry in rebuilt.entries] == [canonical, other]
         assert repoint_recipe(recipes, 0, dup, canonical) == 0
 
 

@@ -469,7 +469,6 @@ class TestMarkHotPath:
             monkeypatch.setattr(RecipeEntriesView, name, forbidden(name))
 
         service = rotated_gccdf(tiny_config)
-        assert service.recipes.all_columnar()
         report = service.run_gc()
         assert increments and report.backups_purged == 2
         assert report.reclaimed_containers > 0

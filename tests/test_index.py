@@ -9,8 +9,12 @@ from repro.errors import (
 )
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.columnar import ColumnarRecipe
+from repro.index.interning import FingerprintInterner
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.conftest import columnar_recipe
 
 
 def fp(i: int) -> bytes:
@@ -75,10 +79,11 @@ class TestFingerprintIndex:
         assert index.unique_bytes == 40
 
 
-def make_recipe(store: RecipeStore, ids, source="src") -> Recipe:
-    recipe = Recipe(
-        backup_id=store.new_backup_id(),
-        entries=tuple(ChunkRef(fp=fp(i), size=100) for i in ids),
+def make_recipe(store: RecipeStore, ids, source="src") -> ColumnarRecipe:
+    recipe = columnar_recipe(
+        store.interner,
+        store.new_backup_id(),
+        (ChunkRef(fp=fp(i), size=100) for i in ids),
         source=source,
     )
     store.add(recipe)
@@ -87,13 +92,15 @@ def make_recipe(store: RecipeStore, ids, source="src") -> Recipe:
 
 class TestRecipe:
     def test_logical_size_and_chunks(self):
-        recipe = Recipe(backup_id=0, entries=tuple(ChunkRef(fp(i), 50) for i in range(4)))
+        recipe = columnar_recipe(
+            FingerprintInterner(), 0, (ChunkRef(fp(i), 50) for i in range(4))
+        )
         assert recipe.logical_size == 200
         assert recipe.num_chunks == 4
 
     def test_fingerprints_preserve_duplicates(self):
         entries = (ChunkRef(fp(1), 10), ChunkRef(fp(1), 10), ChunkRef(fp(2), 10))
-        recipe = Recipe(backup_id=0, entries=entries)
+        recipe = columnar_recipe(FingerprintInterner(), 0, entries)
         assert len(list(recipe.fingerprints())) == 3
         assert recipe.unique_fingerprints() == {fp(1), fp(2)}
 
@@ -108,8 +115,35 @@ class TestRecipeStore:
     def test_duplicate_add_rejected(self):
         store = RecipeStore()
         recipe = make_recipe(store, [1])
-        with pytest.raises(UnknownBackupError):
+        # Not UnknownBackupError: the id is known — that is the problem.
+        with pytest.raises(ValueError, match="already stored"):
             store.add(recipe)
+
+    def test_foreign_interner_rejected(self):
+        # Ids only mean something against the interner that minted them:
+        # accepted, a foreign recipe's ids would join the mark's live set
+        # as if they were this store's.
+        store = RecipeStore()
+        make_recipe(store, [1])
+        foreign = columnar_recipe(
+            FingerprintInterner(), store.new_backup_id(), [ChunkRef(fp(9), 100)]
+        )
+        with pytest.raises(ValueError, match="different interner"):
+            store.add(foreign)
+        assert foreign.backup_id not in store
+        replacement = columnar_recipe(FingerprintInterner(), 0, [ChunkRef(fp(9), 100)])
+        with pytest.raises(ValueError, match="different interner"):
+            store.replace(replacement)
+        assert list(store.get(0).fingerprints()) == [fp(1)]
+
+    def test_replace_swaps_recipe_and_rejects_unknown(self):
+        store = RecipeStore()
+        make_recipe(store, [1])
+        rebuilt = columnar_recipe(store.interner, 0, [ChunkRef(fp(2), 100)])
+        store.replace(rebuilt)
+        assert store.get(0) is rebuilt
+        with pytest.raises(UnknownBackupError):
+            store.replace(columnar_recipe(store.interner, 7, []))
 
     def test_logical_deletion_keeps_recipe(self):
         store = RecipeStore()

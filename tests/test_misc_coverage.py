@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.layout import render_layout
 from repro.backup.system import DedupBackupService
 from repro.hashing.fingerprints import synthetic_fingerprint
+from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.container import Container
@@ -36,7 +37,9 @@ class TestContainerExtras:
 
 class TestStoreIteration:
     def test_ids_and_containers_sorted(self):
-        store = ContainerStore(capacity=1024, disk=DiskModel())
+        store = ContainerStore(
+            capacity=1024, disk=DiskModel(), interner=FingerprintInterner()
+        )
         allocated = [store.allocate() for _ in range(3)]
         for container in reversed(allocated):
             container.append(ChunkRef(synthetic_fingerprint("s", container.container_id), 10))

@@ -15,9 +15,9 @@ from tests.conftest import refs
 
 @pytest.fixture
 def parts():
-    store = ContainerStore(capacity=4096, disk=DiskModel())
-    index = FingerprintIndex()
     recipes = RecipeStore()
+    store = ContainerStore(capacity=4096, disk=DiskModel(), interner=recipes.interner)
+    index = FingerprintIndex()
     return store, index, recipes
 
 

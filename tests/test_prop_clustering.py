@@ -12,9 +12,10 @@ from repro.core.packing import (
 )
 from repro.dedup.keys import storage_key
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.conftest import columnar_recipe
 
 
 def key_ref(i: int) -> ChunkRef:
@@ -43,9 +44,10 @@ def build(world):
     for backup_id in range(n):
         assert recipes.new_backup_id() == backup_id
         recipes.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(key_ref(i) for i in sorted(memberships[backup_id])),
+            columnar_recipe(
+                recipes.interner,
+                backup_id,
+                (key_ref(i) for i in sorted(memberships[backup_id])),
             )
         )
     config = GCCDFConfig(exact_reference_check=True, split_denial_threshold=0)
@@ -108,14 +110,7 @@ def test_id_kernel_matches_predicate_path(world, threshold, order, involved):
         assert recipes.new_backup_id() == backup_id
         members = [key_ref(i) for i in sorted(memberships[backup_id])]
         order.shuffle(members)
-        recipes.add(
-            ColumnarRecipe(
-                backup_id,
-                recipes.interner,
-                [intern(ref.fp) for ref in members],
-                [ref.size for ref in members],
-            )
-        )
+        recipes.add(columnar_recipe(recipes.interner, backup_id, members))
     chunks = [key_ref(i) for i in range(m)] + [key_ref(0)] * (m % 3)
     order.shuffle(chunks)
     ids = [intern(ref.fp) for ref in chunks]

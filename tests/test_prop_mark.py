@@ -1,13 +1,17 @@
-"""Property test: the mark kernel driven in slices ≡ ``MarkStage.run()``.
+"""Property test: the mark kernel ≡ a per-entry model, under any slicing.
 
-``IncrementalGC`` feeds :class:`~repro.gc.mark.MarkScan` a few recipes per
-step; ``MarkStage`` feeds it (or, for tuple recipes, the legacy per-entry
-loop) the whole population at once.  Over random populations — shared and
-repeated chunks, keys the index never held or no longer holds, GS seeds
-from the hybrid rededup pass, barrier keys arriving mid-mark, either
-recipe representation, either VC table — every slicing must hand the sweep
-the same :class:`~repro.gc.mark.MarkResult` for the same index probes and
-the same simulated recipe reads.
+``MarkStage`` feeds :class:`~repro.gc.mark.MarkScan` each pass as one
+slice; ``IncrementalGC`` feeds it a few recipes per step.  The reference
+for both is :func:`model_mark`: the mark as the paper states it (§2.4,
+§5.5) — walk every deleted recipe entry by entry, then every live one —
+written over the generated world itself (occurrence lists, deleted flags,
+placements), with no interner, no id sets and no product mark code.  Over
+random populations — shared and repeated chunks, keys the index never held
+or no longer holds, GS seeds from the hybrid rededup pass, barrier keys
+arriving mid-mark, either VC table — ``MarkStage.run()`` must agree with
+the model, and every slicing must hand the sweep the same
+:class:`~repro.gc.mark.MarkResult` for the same index probes and the same
+simulated recipe reads.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from repro.dedup.hybrid import HybridState
 from repro.dedup.keys import storage_key
 from repro.faults import IntentJournal
 from repro.gc.incremental import GCBudget, IncrementalGC
-from repro.gc.mark import MarkStage
+from repro.gc.mark import RECIPE_ENTRY_BYTES, MarkStage
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
+
+from tests.conftest import columnar_recipe
 
 CONTAINERS = 6
 BUDGETS = (1, 3, 8, 10**9)
@@ -63,17 +68,15 @@ worlds = st.integers(min_value=1, max_value=24).flatmap(
                 min_size=m,
                 max_size=m,
             ),
-            # (chunk occurrences in stream order, deleted?, columnar?)
+            # (chunk occurrences in stream order, deleted?)
             "recipes": st.lists(
                 st.tuples(
                     st.lists(st.integers(min_value=0, max_value=m - 1), max_size=30),
-                    st.booleans(),
                     st.booleans(),
                 ),
                 min_size=1,
                 max_size=9,
             ),
-            "all_columnar": st.booleans(),
             "extra_gs": st.sets(st.integers(min_value=0, max_value=CONTAINERS + 1)),
             "barrier": st.sets(st.integers(min_value=0, max_value=m + 3)),
             "barrier_after": st.integers(min_value=0, max_value=6),
@@ -92,18 +95,15 @@ def build(world):
             if placement == "gone":
                 index.discard(key(i))
     recipes = RecipeStore()
-    for occurrences, deleted, columnar in world["recipes"]:
+    for occurrences, deleted in world["recipes"]:
         backup_id = recipes.new_backup_id()
-        if columnar or world["all_columnar"]:
-            recipe = ColumnarRecipe(
-                backup_id,
+        recipes.add(
+            columnar_recipe(
                 recipes.interner,
-                [recipes.interner.intern(key(i)) for i in occurrences],
-                [64] * len(occurrences),
+                backup_id,
+                (ChunkRef(key(i), 64) for i in occurrences),
             )
-        else:
-            recipe = Recipe(backup_id, tuple(ChunkRef(key(i), 64) for i in occurrences))
-        recipes.add(recipe)
+        )
         if deleted:
             recipes.mark_deleted(backup_id)
     return config, index, recipes, DiskModel(config.disk)
@@ -111,6 +111,49 @@ def build(world):
 
 def probe_counters(index: FingerprintIndex) -> tuple:
     return (index.lookups, index.hits, index.guard_probes, index.guard_skips)
+
+
+def model_mark(world) -> dict:
+    """The mark, entry by entry, over the world as generated.
+
+    Pass 1 walks the deleted recipes: every key they reference is a
+    candidate for invalidation, and the container holding it joins the GS
+    list.  Pass 2 walks the live recipes: every key is live (the VC
+    table), and each GS container learns which live backups reference it
+    (the RRT).  A key is probed in the index once, however often and in
+    whichever pass it recurs; a recipe is read once, whole.
+    """
+    placements = world["placements"]
+    probed: set[int] = set()
+    candidates: set[int] = set()
+    gs = set(world["extra_gs"])
+    for occurrences, deleted in world["recipes"]:
+        if deleted:
+            for chunk in occurrences:
+                candidates.add(chunk)
+                probed.add(chunk)
+                if isinstance(placements[chunk], int):
+                    gs.add(placements[chunk])
+    live: set[int] = set()
+    rrt: dict[int, set[int]] = {container_id: set() for container_id in gs}
+    for backup_id, (occurrences, deleted) in enumerate(world["recipes"]):
+        if not deleted:
+            for chunk in occurrences:
+                live.add(chunk)
+                probed.add(chunk)
+                if placements[chunk] in rrt:  # never None / "gone"
+                    rrt[placements[chunk]].add(backup_id)
+    return {
+        "gs_list": tuple(sorted(gs)),
+        "rrt": {cid: tuple(sorted(backups)) for cid, backups in rrt.items()},
+        "candidate_keys": len(candidates),
+        "live_keys": {key(chunk) for chunk in live},
+        "lookups": len(probed),
+        "hits": sum(isinstance(placements[chunk], int) for chunk in probed),
+        "read_ops": len(world["recipes"]),
+        "read_bytes": RECIPE_ENTRY_BYTES
+        * sum(len(occurrences) for occurrences, _ in world["recipes"]),
+    }
 
 
 @given(worlds)
@@ -121,10 +164,26 @@ def test_sliced_mark_equals_mark_stage(world):
 
     config, index, recipes, disk = build(world)
     expected = MarkStage(config, index, recipes, disk, extra_gs=world["extra_gs"]).run()
+
+    model = model_mark(world)
+    assert expected.gs_list == model["gs_list"]
+    assert expected.rrt == model["rrt"]
+    assert expected.candidate_keys == model["candidate_keys"]
+    assert {recipes.interner.key_of(i) for i in expected.live_ids} == model["live_keys"]
+    if world["vc_table"] == "exact":
+        assert {k for k in universe if k in expected.vc_table} == model["live_keys"]
+    else:  # Bloom: no false negatives
+        assert all(k in expected.vc_table for k in model["live_keys"])
+    assert (index.lookups, index.hits) == (model["lookups"], model["hits"])
+    assert index.guard_probes == model["lookups"]
+    assert (disk.stats.read_ops, disk.stats.read_bytes) == (
+        model["read_ops"],
+        model["read_bytes"],
+    )
+
     expected.vc_table.update(barrier)
     expected_probes = probe_counters(index)
     expected_reads = disk.stats.to_dict()
-    assert expected.live_ids is None or recipes.all_columnar()
 
     for mark_recipes in BUDGETS:
         config, index, recipes, disk = build(world)

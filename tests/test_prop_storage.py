@@ -6,6 +6,7 @@ from repro.errors import SimulatedCrash
 from repro.faults import FaultPlan, recover
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
+from repro.index.interning import FingerprintInterner
 from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
@@ -20,7 +21,9 @@ chunk_sizes = st.lists(
 
 
 def write_all(sizes):
-    store = ContainerStore(capacity=CAPACITY, disk=DiskModel())
+    store = ContainerStore(
+        capacity=CAPACITY, disk=DiskModel(), interner=FingerprintInterner()
+    )
     writer = ContainerWriter(store)
     placements = []
     for index, size in enumerate(sizes):
@@ -68,7 +71,7 @@ def test_torn_write_recovery_keeps_durable_prefix(sizes, occurrence):
     the store holds exactly the durable prefix of the append order, every
     retained container is intact, and the journal is empty."""
     disk = DiskModel(faults=FaultPlan.single("store.commit.torn", occurrence))
-    store = ContainerStore(capacity=CAPACITY, disk=disk)
+    store = ContainerStore(capacity=CAPACITY, disk=disk, interner=FingerprintInterner())
     writer = ContainerWriter(store)
     appended = []
     crashed = False

@@ -23,14 +23,13 @@ from repro.fleet.result import FleetResult, ShardResult
 from repro.fleet.scheduler import KIND_PRIORITY, shard_schedule
 from repro.fleet.topology import FleetConfig, TenantSpec
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import Recipe
+from repro.index.interning import FingerprintInterner
 from repro.model import Chunk, ChunkRef
 from repro.obs.tracer import TraceRecorder
 from repro.serve.cache import TieredReadCache
 from repro.storage.store import ContainerStore
 
-from tests.conftest import refs
+from tests.conftest import columnar_recipe, refs
 
 
 def tiny_config(retained: int = 6, turnover: int = 2) -> SystemConfig:
@@ -69,34 +68,23 @@ def payload_chunks(namespace: str, sizes) -> tuple[list[Chunk], bytes]:
 # ----------------------------------------------------------------------
 
 
+def sized_recipe(namespace: str, sizes):
+    return columnar_recipe(
+        FingerprintInterner(), 1, sized_refs(namespace, sizes), source="s"
+    )
+
+
 class TestChunkStarts:
     def test_prefix_sums(self):
-        entries = tuple(sized_refs("cs", [10, 20, 30, 5]))
-        recipe = Recipe(backup_id=1, entries=entries, source="s")
+        recipe = sized_recipe("cs", [10, 20, 30, 5])
         assert list(recipe.chunk_starts) == [0, 10, 30, 60]
         assert recipe.logical_size == 65
 
-    def test_columnar_matches_legacy(self):
-        from repro.index.interning import FingerprintInterner
-
-        entries = tuple(sized_refs("cs2", [512, 128, 1024, 1]))
-        legacy = Recipe(backup_id=1, entries=entries, source="s")
-        interner = FingerprintInterner()
-        columnar = ColumnarRecipe(
-            1,
-            interner,
-            [interner.intern(ref.fp) for ref in entries],
-            [ref.size for ref in entries],
-            source="s",
-        )
-        assert list(columnar.chunk_starts) == list(legacy.chunk_starts)
-
     def test_empty_recipe(self):
-        recipe = Recipe(backup_id=1, entries=(), source="s")
-        assert list(recipe.chunk_starts) == []
+        assert list(sized_recipe("cs", []).chunk_starts) == []
 
     def test_cached(self):
-        recipe = Recipe(backup_id=1, entries=tuple(sized_refs("cs3", [7])), source="s")
+        recipe = sized_recipe("cs3", [7])
         assert recipe.chunk_starts is recipe.chunk_starts
 
 
@@ -494,22 +482,6 @@ class TestServiceOptions:
         with pytest.raises(ConfigError):
             ServiceOptions().with_overrides(no_such_knob=1)
 
-    def test_deprecated_keywords_fold_and_warn(self):
-        recorder = TraceRecorder()
-        with pytest.warns(DeprecationWarning, match="tracer"):
-            service = make_service("naive", tiny_config(), tracer=recorder)
-        assert service.tracer is recorder
-
-    def test_deprecated_keyword_overrides_options(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                make_service("naive", tiny_config(), gc_mode="eager")
-
-    def test_service_factory_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="gc_mode"):
-            build = service_factory("naive", tiny_config(), gc_mode="stw")
-        assert build().name == "naive"
-
     def test_unknown_policy_kwarg_named(self):
         with pytest.raises(ConfigError, match=r"capping.*valid knobs.*cap"):
             make_service("capping", tiny_config(), capp=20)
@@ -519,6 +491,9 @@ class TestServiceOptions:
             make_service("naive", tiny_config(), cap=20)
         with pytest.raises(ConfigError, match="takes no policy kwargs"):
             service_factory("gccdf", tiny_config(), utilization_threshold=0.5)
+        # Cross-cutting knobs travel in ServiceOptions only.
+        with pytest.raises(ConfigError, match="takes no policy kwargs"):
+            make_service("naive", tiny_config(), gc_mode="incremental")
 
     def test_valid_policy_kwargs_still_work(self):
         service = make_service("capping", tiny_config(), cap=4)
@@ -631,7 +606,7 @@ class TestFleetReads:
 
 
 class TestUmbrellaCli:
-    @pytest.mark.parametrize("tool", ["bench", "experiments", "fleet", "serve"])
+    @pytest.mark.parametrize("tool", ["experiments", "fleet", "serve"])
     def test_forwarded_help(self, tool, capsys):
         from repro.tools import main
 
@@ -666,7 +641,7 @@ class TestUmbrellaCli:
         with pytest.raises(SystemExit):
             main(["--help"])
         output = capsys.readouterr().out
-        for tool in ("bench", "experiments", "fleet", "serve", "faults"):
+        for tool in ("experiments", "fleet", "serve", "faults"):
             assert tool in output
 
 

@@ -10,6 +10,7 @@ from repro.errors import (
     UnknownContainerError,
 )
 from repro.hashing.fingerprints import synthetic_fingerprint
+from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.cache import ContainerCache
@@ -24,7 +25,11 @@ def ref(i: int, size: int = 100) -> ChunkRef:
 
 @pytest.fixture
 def store() -> ContainerStore:
-    return ContainerStore(capacity=1000, disk=DiskModel(DiskConfig(bandwidth=1e9)))
+    return ContainerStore(
+        capacity=1000,
+        disk=DiskModel(DiskConfig(bandwidth=1e9)),
+        interner=FingerprintInterner(),
+    )
 
 
 class TestContainer:
