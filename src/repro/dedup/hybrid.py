@@ -28,11 +28,13 @@ The hybrid mode (PAPERS.md, arXiv 1405.5661) splits that work:
 
 Once GC has drained every candidate, the system state is equivalent to
 having ingested inline: same live backups, same logical chunk streams,
-same single physical copy per live fingerprint (``benchmarks/hybrid.py``
-hard-gates this).  What differs, by design, is the probe accounting —
-hybrid ingest performs roughly ``dup_fraction`` index probes per chunk
-versus inline's ``1 + dup_fraction`` — and the transient physical bytes
-between ingest and the next GC.
+same single physical copy per live fingerprint (pinned by
+``tests/test_hybrid.py::TestDrainedEquivalenceProperty`` and the hybrid
+cells of ``tests/data/end_state_digests.json``).  What differs, by design,
+is the probe accounting — hybrid ingest performs roughly ``dup_fraction``
+index probes per chunk versus inline's ``1 + dup_fraction``
+(``TestHybridIngest::test_probe_reduction_on_duplicated_sources``) — and
+the transient physical bytes between ingest and the next GC.
 
 Modelling notes: minting a fresh storage key
 (:meth:`~repro.dedup.logical_index.LogicalIndex.new_key`) is writer-local

@@ -47,7 +47,7 @@ from repro.experiments.pool import run_tasks
 from repro.obs.tracer import TraceRecorder, Tracer, write_trace
 
 #: Where cell wall-times land unless the caller overrides it.  Kept with
-#: the other committed benchmark artifacts so a bare ``repro-experiments``
+#: the other committed benchmark artifacts so a bare ``repro experiments``
 #: run never litters the repository root.
 DEFAULT_BENCH_PATH = "benchmarks/results/BENCH_matrix.json"
 

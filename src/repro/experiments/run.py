@@ -4,8 +4,8 @@ Usage::
 
     python -m repro.experiments.run --figure fig11 --scale full
     python -m repro.experiments.run --all --scale quick --jobs 4
-    repro-experiments --list                    # experiment index
-    repro-experiments --figure table01          # console script
+    repro experiments --list                    # experiment index
+    repro experiments --figure table01          # via the console script
 
 Protocol cells are scheduled by :mod:`repro.experiments.matrix`: the cells
 the selected figures need are enumerated up front, deduplicated (figures
@@ -66,7 +66,7 @@ def describe(name: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro experiments",
         description="Regenerate the GCCDF paper's tables and figures.",
     )
     parser.add_argument(

@@ -17,11 +17,10 @@ This package promotes that regime to a first-class engine:
   trace merging: ``jobs=1`` is byte-identical to ``jobs=N``.
 * :mod:`~repro.fleet.result` — per-shard and fleet-aggregated results
   carrying merged :mod:`repro.obs` metrics.
-* :mod:`~repro.fleet.cli` — the ``repro-fleet`` console script.
+* :mod:`~repro.fleet.cli` — the ``repro fleet`` subcommand.
 
-See ``docs/fleet.md`` for semantics and guarantees, and
-``benchmarks/fleet.py`` for the jobs-scaling benchmark
-(``BENCH_fleet.json``).
+See ``docs/fleet.md`` for semantics and guarantees; the ``fleet-incgc`` and
+``fleet-hybrid`` rows of ``benchmarks/e2e`` measure one shard end to end.
 """
 
 from repro.fleet.result import FleetResult, ShardResult

@@ -1,11 +1,11 @@
-"""``repro-fleet`` — run a sharded multi-tenant backup fleet.
+"""``repro fleet`` — run a sharded multi-tenant backup fleet.
 
 Usage::
 
-    repro-fleet --preset quick --jobs 4
-    repro-fleet --tenants 1200 --shards 8 --domain shared --jobs 4 \\
+    repro fleet --preset quick --jobs 4
+    repro fleet --tenants 1200 --shards 8 --domain shared --jobs 4 \\
         --out fleet.json --trace fleet_trace.jsonl
-    python -m repro.fleet --preset quick --domain tenant
+    python -m repro.tools fleet --preset quick --domain tenant
 
 Presets fix a synthetic fleet's size (tenants, shards, per-tenant backup
 counts, workload scale, stream pool); every knob can be overridden
@@ -29,8 +29,8 @@ from repro.workloads.datasets import DATASET_NAMES
 
 #: Synthetic fleet presets: (tenants, shards, backups/tenant, workload
 #: scale, stream pool, retained, turnover).  ``quick`` is the CI smoke;
-#: ``medium`` is the benchmark's headline scale (thousands of tenants,
-#: millions of chunk ops); ``large`` is for dedicated machines.
+#: ``medium`` is the headline scale (thousands of tenants, millions of
+#: chunk ops); ``large`` is for dedicated machines.
 FLEET_PRESETS = {
     "quick": dict(
         num_tenants=48, num_shards=6, backups_per_tenant=8,
@@ -135,7 +135,7 @@ def print_result(result, verbose: bool) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-fleet",
+        prog="repro fleet",
         description="Sharded multi-tenant backup fleet on simulated time.",
     )
     parser.add_argument(

@@ -5,8 +5,8 @@ form) is a pure function of the :class:`~repro.fleet.topology.FleetConfig`
 — it contains *no* wall-clock time, worker identity, or job count, so a
 ``jobs=N`` run serializes byte-identically to ``jobs=1``.  Wall-clock
 seconds and the job count live on the result object (``wall_seconds``,
-``jobs``) for benchmarks and progress lines, but are deliberately excluded
-from serialization.
+``jobs``) for progress lines, but are deliberately excluded from
+serialization.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class FleetResult:
     wall_seconds: float = 0.0
     #: Worker processes used — excluded from serialization.
     jobs: int = 1
-    #: Per-shard execution seconds (shard id → wall seconds inside the
-    #: worker) — set by the runner, excluded from serialization.  The
-    #: fleet benchmark reads these to compute the ideal parallel speedup
-    #: ``sum(shard_seconds) / max(shard_seconds)``.
-    shard_seconds: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Fleet-level aggregates (read off the merged metrics payload)
@@ -149,42 +144,24 @@ class FleetResult:
         The ``fleet.ingest_stall`` histogram holds the total sample count
         (one per ingest, zeros included); the shards ship only the nonzero
         samples.  Quantiles are computed over the implied
-        ``zeros + sorted(nonzero)`` population — the p99 the incremental-GC
-        benchmark gates on.
+        ``zeros + sorted(nonzero)`` population.
         """
         hist = self.metrics.get("histograms", {}).get("fleet.ingest_stall")
         total = int(hist["count"]) if hist else 0
         nonzero = sorted(
             stall for shard in self.shards for stall in shard.ingest_stalls
         )
-        if total <= 0:
-            return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-        zeros = total - len(nonzero)
-        quantiles = {}
-        for label, p in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-            # Nearest-rank on the full population of `total` samples.
-            rank = max(1, -(-int(p * 1000) * total // 1000))  # ceil(p*total)
-            index = rank - 1
-            quantiles[label] = 0.0 if index < zeros else nonzero[index - zeros]
-        quantiles["max"] = nonzero[-1] if nonzero else 0.0
-        return quantiles
+        return _nearest_rank_quantiles(nonzero, zeros=total - len(nonzero))
 
     def read_latency_quantiles(self) -> dict[str, float]:
         """Exact simulated-latency quantiles over every ``read`` request,
         fleet-wide (nearest-rank; every sample ships in the shard results,
         so no zeros are implied).  All-zero when the fleet ran no reads."""
-        samples = sorted(
-            latency for shard in self.shards for latency in shard.read_latencies
+        return _nearest_rank_quantiles(
+            sorted(
+                latency for shard in self.shards for latency in shard.read_latencies
+            )
         )
-        total = len(samples)
-        if total == 0:
-            return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-        quantiles = {}
-        for label, p in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-            rank = max(1, -(-int(p * 1000) * total // 1000))  # ceil(p*total)
-            quantiles[label] = samples[rank - 1]
-        quantiles["max"] = samples[-1]
-        return quantiles
 
     @property
     def total_requests(self) -> int:
@@ -238,6 +215,20 @@ class FleetResult:
             f"dedup {self.dedup_ratio:.2f}, "
             f"read amp {self.mean_read_amplification:.2f}"
         )
+
+
+def _nearest_rank_quantiles(nonzero: list[float], zeros: int = 0) -> dict[str, float]:
+    """p50/p90/p99/max by nearest rank over ``zeros`` implied ``0.0``
+    samples followed by the sorted ``nonzero`` ones (all-zero when empty)."""
+    total = zeros + len(nonzero)
+    if total <= 0:
+        return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
+    quantiles = {}
+    for label, p in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+        index = max(1, -(-int(p * 1000) * total // 1000)) - 1  # ceil(p*total) - 1
+        quantiles[label] = 0.0 if index < zeros else nonzero[index - zeros]
+    quantiles["max"] = nonzero[-1] if nonzero else 0.0
+    return quantiles
 
 
 def merge_shard_results(

@@ -5,8 +5,8 @@ function of its :class:`~repro.fleet.shard.ShardTask` — so
 :func:`run_fleet` fans them out over the shared process-pool helper
 (:func:`repro.experiments.pool.run_tasks`, the same machinery the
 experiment matrix uses) and reassembles results **in shard-id order**, never
-completion order.  Consequences, both gated by tests and the fleet
-benchmark:
+completion order.  Consequences, both gated by
+``tests/test_fleet.py::TestDeterminism``:
 
 * ``jobs=1`` and ``jobs=N`` produce byte-identical
   :meth:`~repro.fleet.result.FleetResult.canonical_json` output;
@@ -114,14 +114,12 @@ def run_fleet(
     tasks = plan_shards(config, trace=tracing)
     shard_results: dict[int, ShardResult] = {}
     events_by_shard: dict[int, list[dict]] = {}
-    seconds_by_shard: dict[int, float] = {}
 
     def finish(
         shard_id: int, outcome: tuple[dict, float, list[dict] | None], done: int
     ) -> None:
         data, seconds, events = outcome
         shard_results[shard_id] = ShardResult.from_dict(data)
-        seconds_by_shard[shard_id] = seconds
         if events is not None:
             events_by_shard[shard_id] = events
         emit(
@@ -151,8 +149,5 @@ def run_fleet(
     )
     result.wall_seconds = time.perf_counter() - wall_started
     result.jobs = jobs
-    result.shard_seconds = {
-        shard_id: seconds_by_shard[shard_id] for shard_id in sorted(seconds_by_shard)
-    }
     emit(result.summary() + f"; wall {result.wall_seconds:.1f}s at jobs={jobs}")
     return result

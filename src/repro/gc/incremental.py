@@ -30,7 +30,8 @@ final selective purge forward.
 A *drained* cycle (``collect()``, which runs every increment back to back)
 performs the byte-identical read/write sequence of the stop-the-world
 engine and returns a counter-identical :class:`~repro.gc.report.GCReport` —
-the equivalence the ``benchmarks/incgc.py`` gate pins for every approach.
+the equivalence ``tests/test_incremental_gc.py::TestDrainedEquivalence``
+pins for every approach.
 """
 
 from __future__ import annotations

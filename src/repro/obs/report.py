@@ -1,6 +1,6 @@
 """Rebuild the Fig. 14 GC breakdown from an emitted trace file alone.
 
-A merged matrix trace (``repro-experiments --trace runs.jsonl``) contains,
+A merged matrix trace (``repro experiments --trace runs.jsonl``) contains,
 per protocol cell, the full span stream the instrumented pipeline emitted:
 ``gc.mark`` and ``gc.analyze`` spans carry their simulated duration, and
 the ``gc.sweep`` span carries its phase-diffed I/O payload, whose
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.obs.report",
         description="Rebuild the Fig. 14 GC breakdown from a trace file.",
     )
-    parser.add_argument("trace", help="merged JSONL trace (repro-experiments --trace)")
+    parser.add_argument("trace", help="merged JSONL trace (repro experiments --trace)")
     args = parser.parse_args(argv)
     if not os.path.isfile(args.trace):
         parser.error(f"no such trace file: {args.trace}")

@@ -11,7 +11,8 @@ LRU), and reports the request's simulated latency; ``read_all()`` is the
 existing restore path, counter-identical by construction.
 
 See ``docs/serving.md`` for the API, the cache tiers, the latency model,
-and the read-latency-vs-backup-age figure (``benchmarks/serve.py``).
+and the aged-read claim (``tests/test_serve.py::TestAgedReads``; the
+``reads-gccdf-web`` row of ``benchmarks/e2e`` measures the read path).
 """
 
 from repro.serve.cache import TieredReadCache

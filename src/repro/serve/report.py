@@ -4,8 +4,7 @@ A :class:`ReadReport` is the point-read analogue of
 :class:`~repro.restore.report.RestoreReport`: one record per
 ``pread(offset, length)`` call, carrying the chunk window the request
 mapped onto, the tiered-cache outcome, and the simulated seconds the
-request's device I/O cost — the quantity the serve benchmark plots as
-read latency.
+request's device I/O cost — its read latency.
 """
 
 from __future__ import annotations

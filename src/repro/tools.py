@@ -15,20 +15,17 @@ Four subcommands, usable as ``python -m repro.tools <cmd>`` or the
 * ``faults`` — crash-consistency smoke: inject a :class:`SimulatedCrash`
   at an armed point mid-protocol, run recovery, and verify zero errors
   (``repro faults --approach gccdf --point sweep.repoint``, or
-  ``repro faults --matrix`` for every point × approach).  Also installed
-  as the ``repro-faults`` console script.
+  ``repro faults --matrix`` for every point × approach).
 
-``repro`` is additionally the umbrella for the repo's other tools:
-``repro experiments``, ``repro fleet``, and ``repro serve`` forward their
-remaining arguments to the corresponding tool's own parser, so one command
-surfaces everything.  The historical per-tool console scripts
-(``repro-experiments``, ``repro-fleet``, ``repro-faults``) remain as thin
-aliases.
+``repro`` is the package's one console script and the umbrella for its
+other two tools: ``repro experiments`` and ``repro fleet`` forward their
+remaining arguments to the corresponding tool's own parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.analysis.fragmentation import fragmentation_profile
@@ -354,29 +351,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Forwarded tools appear in ``repro --help`` but are dispatched by
     # :func:`main` before argparse runs, each to its own parser.
-    for name, blurb in sorted(FORWARDED_TOOLS.items()):
+    for name, (_, blurb) in sorted(FORWARDED_TOOLS.items()):
         sub.add_parser(name, help=blurb, add_help=False)
     return parser
 
 
-#: Umbrella subcommands forwarded verbatim to another tool's parser.
+#: Umbrella subcommands forwarded verbatim to another tool's parser:
+#: name → (module whose ``main`` takes the remaining arguments, help blurb).
 FORWARDED_TOOLS = {
-    "experiments": "paper figure/table runner (alias: repro-experiments)",
-    "fleet": "sharded multi-tenant fleet (alias: repro-fleet)",
-    "serve": "read-serving benchmark (writes BENCH_serve.json)",
+    "experiments": ("repro.experiments.run", "paper figure/table runner"),
+    "fleet": ("repro.fleet.cli", "sharded multi-tenant fleet"),
 }
 
 
 def _forwarded_main(tool: str):
     """The forwarded tool's ``main`` (imported lazily: the umbrella must
     not drag every tool's dependency graph into ``repro trace``)."""
-    if tool == "experiments":
-        from repro.experiments.run import main as tool_main
-    elif tool == "fleet":
-        from repro.fleet.cli import main as tool_main
-    else:
-        from repro.serve.bench import main as tool_main
-    return tool_main
+    module, _ = FORWARDED_TOOLS[tool]
+    return importlib.import_module(module).main
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,13 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         return _forwarded_main(argv[0])(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-def faults_main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``repro-faults`` console script."""
-    if argv is None:
-        argv = sys.argv[1:]
-    return main(["faults", *argv])
 
 
 if __name__ == "__main__":

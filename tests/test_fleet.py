@@ -482,7 +482,7 @@ class TestIncrementalFleet:
         # incremental mode can only store *fewer* bytes — never more — and
         # correspondingly reclaims fewer.  Exact stop-the-world equality is
         # the drained (non-interleaved) contract, gated in
-        # tests/test_incremental_gc.py and benchmarks/incgc.py.
+        # tests/test_incremental_gc.py.
         assert (
             inc_counters["service.cumulative_stored_bytes"]
             <= stw_counters["service.cumulative_stored_bytes"]

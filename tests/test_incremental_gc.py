@@ -86,6 +86,7 @@ class TestBudget:
             {"mark_recipes": 0},
             {"sweep_containers": 0},
             {"mfdedup_volumes": -1},
+            {"rededup_keys": 0},
         ],
     )
     def test_non_positive_budgets_rejected(self, kwargs):

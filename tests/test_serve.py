@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backup.approaches import APPROACHES, make_service, service_factory
+from repro.backup.driver import RotationDriver
 from repro.backup.options import DEFAULT_OPTIONS, ServiceOptions
 from repro.backup.system import DedupBackupService
 from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
@@ -28,6 +29,8 @@ from repro.model import Chunk, ChunkRef
 from repro.obs.tracer import TraceRecorder
 from repro.serve.cache import TieredReadCache
 from repro.storage.store import ContainerStore
+from repro.util.rng import DeterministicRng, derive_seed
+from repro.workloads.datasets import dataset
 
 from tests.conftest import columnar_recipe, refs
 
@@ -404,8 +407,6 @@ def test_prop_pread_accounting_every_approach(approach, probe_seed):
     """Every approach's reader agrees with the size-list reference model,
     including after a second, overlapping backup deduplicates chunks into
     containers written for the first."""
-    from repro.util.rng import DeterministicRng
-
     rng = DeterministicRng(probe_seed)
     sizes = [rng.randint(1, 1024) for _ in range(rng.randint(4, 16))]
     service = make_service(approach, tiny_config())
@@ -449,6 +450,46 @@ def test_read_all_counter_identical_to_restore(approach):
         expected = restore_service.restore(backup_id)
         with serve_service.open_backup(backup_id) as reader:
             assert reader.read_all() == expected
+
+
+# ----------------------------------------------------------------------
+# Defragmentation makes aged reads faster (paper Fig. 12, on point reads)
+# ----------------------------------------------------------------------
+
+
+class TestAgedReads:
+    """After the §6.1 rotation the newest live backup has deduplicated
+    against the whole history, so under naive its chunks scatter across
+    every surviving container.  GCCDF's piggybacked defragmentation and
+    MFDedup's lifecycle-adjacent volumes must serve seeded point reads on
+    it in less mean simulated time than naive (the read cache is cold: the
+    service has served no read before)."""
+
+    # Shorter histories do not fragment: at web 0.06 / 12 backups gccdf's
+    # layout equals naive's and the comparison gates nothing.
+    DATASET, SCALE, BACKUPS, RETAINED, TURNOVER = "web", 0.2, 30, 20, 5
+    READS, READ_FRACTION = 12, 0.0625
+
+    def aged_mean_latency(self, approach: str) -> float:
+        config = SystemConfig.scaled(retained=self.RETAINED, turnover=self.TURNOVER)
+        service = make_service(approach, config)
+        RotationDriver(service, config.retention, dataset_name=self.DATASET).run(
+            dataset(self.DATASET, scale=self.SCALE, num_backups=self.BACKUPS)
+        )
+        newest = max(service.live_backup_ids())
+        seconds = 0.0
+        with service.open_backup(newest) as reader:
+            length = int(reader.size * self.READ_FRACTION)
+            for i in range(self.READS):
+                rng = DeterministicRng(derive_seed(0, "serve", newest, i))
+                offset = rng.randint(0, reader.size - length)
+                seconds += reader.pread(offset, length).read_seconds
+        return seconds / self.READS
+
+    def test_gccdf_and_mfdedup_beat_naive(self):
+        naive = self.aged_mean_latency("naive")
+        assert self.aged_mean_latency("gccdf") < naive
+        assert self.aged_mean_latency("mfdedup") < naive
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +647,7 @@ class TestFleetReads:
 
 
 class TestUmbrellaCli:
-    @pytest.mark.parametrize("tool", ["experiments", "fleet", "serve"])
+    @pytest.mark.parametrize("tool", ["experiments", "fleet"])
     def test_forwarded_help(self, tool, capsys):
         from repro.tools import main
 
@@ -641,35 +682,5 @@ class TestUmbrellaCli:
         with pytest.raises(SystemExit):
             main(["--help"])
         output = capsys.readouterr().out
-        for tool in ("experiments", "fleet", "serve", "faults"):
+        for tool in ("experiments", "fleet", "faults"):
             assert tool in output
-
-
-# ----------------------------------------------------------------------
-# Serve benchmark plumbing
-# ----------------------------------------------------------------------
-
-
-class TestServeBench:
-    def test_quantile_nearest_rank(self):
-        from repro.serve.bench import _quantile
-
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert _quantile(samples, 0.50) == 2.0
-        assert _quantile(samples, 0.99) == 4.0
-        assert _quantile([], 0.5) == 0.0
-
-    def test_smoke(self, tmp_path):
-        import json
-
-        from repro.serve.bench import main
-
-        out = tmp_path / "BENCH_serve.json"
-        assert main([
-            "--scale", "quick", "--reads", "2", "--out", str(out),
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["equivalence"]["all_equal"] is True
-        assert set(payload["latency"]["approaches"]) == {
-            "naive", "capping", "gccdf", "mfdedup",
-        }

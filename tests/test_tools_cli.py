@@ -1,5 +1,7 @@
 """Tests for the repro.tools CLI (trace / simulate / inspect)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.tools import main
@@ -85,3 +87,10 @@ class TestInspectCommand:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_one_console_script():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"repro": "repro.tools:main"}
