@@ -7,11 +7,12 @@ set ``quick`` for a seconds-long smoke pass).
 
 Before any benchmark runs, the protocol cells every *collected* figure
 needs are satisfied in one parallel pass through
-:func:`repro.experiments.run_matrix` — fanned out over
-``REPRO_BENCH_JOBS`` worker processes (default: CPU count) and served from
-the persistent run cache (disable with ``REPRO_BENCH_NO_CACHE=1``).  The
-figure renderers then read the hydrated in-process memo, and the matrix's
-per-cell wall-times are archived to ``benchmarks/results/BENCH_matrix.json``.
+:func:`repro.experiments.run_matrix`, fanned out over ``REPRO_BENCH_JOBS``
+worker processes (default: CPU count), so each cell runs once per session.
+The figure renderers then read the hydrated in-process memo, and the
+matrix's per-cell wall-times are archived to
+``benchmarks/results/BENCH_matrix.json``.  Every rendered table is a
+deterministic function of the tree.
 
 Rendered tables are persisted to ``benchmarks/results/<name>.txt`` and also
 echoed in the terminal summary, so ``pytest benchmarks/ --benchmark-only``
@@ -49,12 +50,10 @@ def _matrix_prewarm(request, bench_scale):
     if not selected:
         return
     jobs = int(os.environ.get("REPRO_BENCH_JOBS") or 0) or None
-    use_cache = not os.environ.get("REPRO_BENCH_NO_CACHE")
     summary = run_matrix(
         selected,
         scale=bench_scale,
         jobs=jobs,
-        use_cache=use_cache,
         progress=lambda line: print(f"[matrix] {line}", flush=True),
     )
     # A no-op for experiments that need no protocol cells (table01, fig03).

@@ -56,7 +56,7 @@ class RotationResult:
     cumulative_stored_bytes: int = 0
     #: Aggregated per-run counters/histograms
     #: (:func:`repro.obs.metrics.rotation_metrics` form); carried through
-    #: the persistent run cache, so cached runs keep their metrics.
+    #: ``to_dict``/``from_dict``, so pooled runs keep their metrics.
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -83,8 +83,8 @@ class RotationResult:
 
     def to_dict(self) -> dict:
         """Deterministic plain-data form: every leaf is an int/float/str,
-        so the dict round-trips exactly through JSON (the persistent run
-        cache and the parallel matrix runner both ship results this way)."""
+        so the dict round-trips exactly through JSON (the parallel matrix
+        runner ships results this way)."""
         return {
             "approach": self.approach,
             "dataset": self.dataset,

@@ -91,7 +91,7 @@ class BackupService(ABC):
         """The service's whole-run space accounting (one snapshot)."""
 
     def runtime_metrics(self) -> dict[str, int | float]:
-        """Hot-path execution counters (index probes, guard skip rates…)
+        """Hot-path execution counters (index probes, interner size…)
         merged into the run's metrics payload under ``runtime.*``.
         Approaches without such counters return the default empty dict."""
         return {}

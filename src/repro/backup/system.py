@@ -78,10 +78,7 @@ class DedupBackupService(BackupService):
         self.store = ContainerStore(
             self.config.container_size, self.disk, self.recipes.interner
         )
-        # The Bloom negative-lookup guard fronts duplicate-detection probes;
-        # it never changes a lookup's result (no false negatives), only
-        # skips map accesses for keys that were never inserted.
-        self.index = FingerprintIndex(negative_guard=True)
+        self.index = FingerprintIndex()
         # Hybrid dedup state exists only when the mode can actually take
         # effect: it needs dedup and is bypassed by rewriting policies (the
         # pipeline dispatch falls back to inline for those), so non-dedup
@@ -204,18 +201,13 @@ class DedupBackupService(BackupService):
         )
 
     def runtime_metrics(self) -> dict[str, int | float]:
-        """Hot-path execution counters (index probes, Bloom-guard skip
-        rate, interner population) for the run's metrics payload."""
-        index = self.index
+        """Hot-path execution counters (index probes, interner population)
+        for the run's metrics payload."""
         metrics: dict[str, int | float] = {
-            "index.lookups": index.lookups,
-            "index.hits": index.hits,
+            "index.lookups": self.index.lookups,
+            "index.hits": self.index.hits,
             "interner.chunks": len(self.recipes.interner),
         }
-        if index.guard_enabled:
-            metrics["index.guard_probes"] = index.guard_probes
-            metrics["index.guard_skips"] = index.guard_skips
-            metrics["index.guard_skip_rate"] = index.guard_skip_rate
         if self.hybrid is not None:
             metrics.update(self.hybrid.counters())
         if self._read_cache is not None:

@@ -83,8 +83,7 @@ class GCCDFConfig:
     #: Simulated seconds per Analyzer/Planner operation (one membership
     #: probe or chunk move).  The Fig. 14 breakdown needs analyze time in
     #: the same currency as the simulated I/O stages; a native-code hash
-    #: probe is ~10 ns, which this models.  Measured Python wall time is
-    #: reported separately (``GCReport.analyze_cpu_seconds``).
+    #: probe is ~10 ns, which this models.
     analyze_op_cost: float = 1e-8
 
     def validate(self) -> None:

@@ -39,10 +39,10 @@ class AnalyzeStage:
     """One GC round's Analyzer + Planner, shared by both GC engines.
 
     :meth:`order` is the whole ``analyze`` stage of Fig. 14 for one segment:
-    its wall time goes to ``ctx.analyze_watch`` and its simulated cost to
-    ``ctx.analyze_ops`` as *operation counts* under the paper's cost model —
-    reference-structure builds + membership probes + packing comparisons +
-    the migration-order construction — whichever kernel did the work.
+    its simulated cost goes to ``ctx.analyze_ops`` as *operation counts*
+    under the paper's cost model — reference-structure builds + membership
+    probes + packing comparisons + the migration-order construction —
+    whichever kernel did the work.
     """
 
     def __init__(self, recipes, config: GCCDFConfig, rng: DeterministicRng):
@@ -58,11 +58,10 @@ class AnalyzeStage:
         valid_ids: list[int],
     ) -> MigrationOrder:
         builds_before = self.checker.build_ops
-        with ctx.analyze_watch.timed():
-            clusters = self.analyzer.cluster(
-                valid_chunks, involved_backups, valid_ids=valid_ids
-            )
-            order = self.planner.plan(clusters, involved_backups)
+        clusters = self.analyzer.cluster(
+            valid_chunks, involved_backups, valid_ids=valid_ids
+        )
+        order = self.planner.plan(clusters, involved_backups)
         ctx.analyze_ops += (
             (self.checker.build_ops - builds_before)
             + self.analyzer.last_probe_count

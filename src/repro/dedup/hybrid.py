@@ -60,13 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.index.recipe import RecipeStore
     from repro.simio.disk import DiskModel
 
-#: Initial capacity of the ingest classification filter; like the index's
-#: negative guard it rebuilds at 4× from the logical key population
-#: whenever insertions outgrow it.
+#: Initial capacity of the ingest classification filter; it rebuilds at 4×
+#: from the logical key population whenever insertions outgrow it.
 INGEST_FILTER_INITIAL_CAPACITY = 4096
 
-#: Domain-separation salt for the ingest filter (distinct from the
-#: index's ``fp-index-guard`` so the two never share collision patterns).
+#: Domain-separation salt for the ingest filter, so it never shares
+#: collision patterns with the other Bloom filters over fingerprints.
 INGEST_FILTER_SALT = b"hybrid-ingest"
 
 
@@ -120,10 +119,9 @@ class HybridState:
     def maybe_rebuild_filter(self, current_keys: Iterable[bytes]) -> None:
         """Regrow a saturated ingest filter from the live key population.
 
-        Mirrors the fingerprint index's negative-guard rebuild: reclaimed
-        fingerprints drop out, which only removes false "maybe seen"
-        answers (fewer spurious deferrals); a Bloom filter never develops
-        false negatives, so correctness is unaffected either way.
+        Reclaimed fingerprints drop out, which only removes false "maybe
+        seen" answers (fewer spurious deferrals); a Bloom filter never
+        develops false negatives, so correctness is unaffected either way.
         """
         if self.filter_adds <= self.filter.capacity:
             return

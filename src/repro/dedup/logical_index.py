@@ -30,16 +30,13 @@ class LogicalIndex:
         """Return the live current copy of ``fp``, or None.
 
         A hit whose storage key the physical index no longer holds (the copy
-        was garbage-collected) is dropped and reported as a miss.  The
-        physical probe uses :meth:`~repro.index.fingerprint_index.
-        FingerprintIndex.validate` — the key is almost always present, so
-        the negative-lookup guard would be pure overhead here.
+        was garbage-collected) is dropped and reported as a miss.
         """
         self.lookups += 1
         key = self._current.get(fp)
         if key is None:
             return None
-        placement = self._physical.validate(key)
+        placement = self._physical.lookup(key)
         if placement is None:
             del self._current[fp]
             return None

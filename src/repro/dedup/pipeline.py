@@ -59,7 +59,7 @@ class IngestResult:
     containers_written: int
 
     def to_dict(self) -> dict:
-        """Plain-scalar dict; round-trips through JSON (run cache)."""
+        """Plain-scalar dict; round-trips through JSON (worker results)."""
         return asdict(self)
 
     @classmethod

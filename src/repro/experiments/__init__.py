@@ -26,7 +26,6 @@ from repro.experiments.common import (
     protocol_runs,
     run_protocol,
 )
-from repro.experiments.cache import RunCache, run_cache_key
 from repro.experiments.matrix import Cell, MatrixSummary, cells_for, run_matrix
 
 __all__ = [
@@ -34,12 +33,10 @@ __all__ = [
     "Cell",
     "ExperimentScale",
     "MatrixSummary",
-    "RunCache",
     "cells_for",
     "clear_cache",
     "get_scale",
     "protocol_runs",
-    "run_cache_key",
     "run_matrix",
     "run_protocol",
 ]

@@ -13,8 +13,8 @@ not individually quantify:
   cache pressure inflates effective read amplification per approach;
 * **reference-check** — the Analyzer's exact interned-id sets (the default)
   vs the paper's per-recipe Bloom filters (§5.3 ①) at two false-positive
-  rates: what the filters' false positives do to the layout, and what
-  building and probing them costs this interpreter.
+  rates: what the filters' false positives do to the layout and to the
+  simulated analyze cost.
 
 Each function returns a rendered table; ``run`` concatenates all five.
 """
@@ -156,12 +156,10 @@ def reference_check_ablation(scale: str = "quick") -> str:
 
     Simulated analyze time charges the paper's cost model (one operation per
     filter entry built and per probe) whichever structure answers, so it
-    moves only with the clustering; the measured column is this
-    interpreter's wall time for the same stage.  Because that column is a
-    measurement, the runs always execute here, in sequence, outside the
-    matrix and the run cache (a traced ``run_protocol`` call never serves a
-    memoised result) — it is the one table of this module whose last column
-    differs between invocations.
+    moves only with the clustering.  The cluster counts come from each
+    run's ``gc.segment`` trace events, so the runs execute here, traced and
+    in sequence, outside the matrix (a traced ``run_protocol`` call never
+    serves a memoised result).
     """
     table = ResultTable(
         title=f"Ablation — Analyzer reference check (scale={scale})",
@@ -171,7 +169,6 @@ def reference_check_ablation(scale: str = "quick") -> str:
             Column("clusters"),
             Column("mean read amp", format=fmt_float(3)),
             Column("GC analyze ms", format=lambda s: f"{s * 1000:.1f}"),
-            Column("(measured ms)", format=lambda s: f"{s * 1000:.1f}"),
         ],
     )
     for dataset_name in REFERENCE_CHECK_DATASETS:
@@ -186,7 +183,6 @@ def reference_check_ablation(scale: str = "quick") -> str:
                 counter.clusters,
                 result.mean_read_amplification,
                 sum(r.analyze_seconds for r in result.gc_reports),
-                sum(r.analyze_cpu_seconds for r in result.gc_reports),
             )
     return table.render()
 

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, protocol runs, and a run cache.
+"""Shared experiment infrastructure: scales, protocol runs, and their memo.
 
 Three scales trade fidelity for runtime.  Backup counts shrink
 proportionally with the retention window so every scale performs the same
@@ -11,6 +11,8 @@ proportionally with the retention window so every scale performs the same
 
 Figures 11–14 read different projections of the *same* six-approach ×
 four-dataset protocol runs, so completed runs are memoised per process.
+A run's :class:`~repro.backup.driver.RotationResult` is a pure function of
+its inputs, so nothing outlives the process.
 """
 
 from __future__ import annotations
@@ -87,13 +89,14 @@ def get_scale(name: str | ExperimentScale) -> ExperimentScale:
 _RUN_CACHE: dict[tuple, RotationResult] = {}
 
 #: Protocol executions (actual driver runs) in this process; the matrix CLI
-#: prints it so a warm-cache rerun can prove it re-ran nothing.
+#: prints how many happened while rendering, proving the matrix covered
+#: every cell.
 _PROTOCOL_RUNS = 0
 
 
 def protocol_runs() -> int:
-    """Number of protocol cells actually executed (not served from any
-    cache) by this process since import."""
+    """Number of protocol cells actually executed (not served from the
+    memo) by this process since import."""
     return _PROTOCOL_RUNS
 
 
@@ -127,8 +130,8 @@ def memoized(key: tuple) -> RotationResult | None:
 
 
 def hydrate(key: tuple, result: RotationResult) -> None:
-    """Install an externally produced run (worker process / disk cache)
-    into the per-process memo."""
+    """Install a run produced elsewhere (a worker process, a config-dedup
+    sharer) into the per-process memo."""
     _RUN_CACHE[key] = result
 
 
@@ -146,7 +149,7 @@ def run_protocol(
 
     Results are memoised per process (figures 11–14 share runs); extra
     overrides (GCCDF knobs, ``vc_table``, ``restore_cache_containers``)
-    force a fresh run cached under its own key.
+    force a fresh run memoised under its own key.
 
     ``tracer`` attaches a :class:`~repro.obs.tracer.Tracer` to the run's
     simulated disk.  A traced call always executes the protocol (a memoised

@@ -4,9 +4,8 @@ Per approach and dataset: total seconds spent in the mark, analyze,
 sweep-read and sweep-write stages, summed over all GC rounds.  All four
 stages are in simulated seconds — the analyze stage converts the
 Analyzer/Planner operation count through a modelled per-op cost so it is
-comparable with the I/O stages (the raw Python wall time is reported in the
-extra ``cpu`` column for transparency).  Analyze is zero for every approach
-but GCCDF, which has no such stage.
+comparable with the I/O stages.  Analyze is zero for every approach but
+GCCDF, which has no such stage.
 
 Expected shape: mark is approach-independent; GCCDF's analyze stage is a
 small fraction of its total; GCCDF's sweep-read/sweep-write shrink from the
@@ -43,7 +42,6 @@ def run(scale: str = "quick") -> str:
                 Column("sweep-read", format=_ms),
                 Column("sweep-write", format=_ms),
                 Column("total", format=_ms),
-                Column("(cpu)", format=_ms),
             ],
         )
         for approach in APPROACHES:
@@ -52,7 +50,6 @@ def run(scale: str = "quick") -> str:
             analyze = sum(r.analyze_seconds for r in result.gc_reports)
             sweep_read = sum(r.sweep_read_seconds for r in result.gc_reports)
             sweep_write = sum(r.sweep_write_seconds for r in result.gc_reports)
-            cpu = sum(r.analyze_cpu_seconds for r in result.gc_reports)
             table.add_row(
                 approach,
                 mark,
@@ -60,7 +57,6 @@ def run(scale: str = "quick") -> str:
                 sweep_read,
                 sweep_write,
                 mark + analyze + sweep_read + sweep_write,
-                cpu,
             )
         blocks.append(table.render())
     return "\n\n".join(blocks)

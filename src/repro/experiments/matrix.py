@@ -10,9 +10,10 @@ that coin into a scheduler:
    approach/dataset/sweep constants — and deduplicates across figures
    (fig12/13/14's cells are a subset of fig11's; the ablations share the
    plain GCCDF cells' datasets but carry overrides).
-2. :func:`run_matrix` serves each cell from the per-process memo, then the
-   persistent :class:`~repro.experiments.cache.RunCache`, and fans the
-   remaining misses out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+2. :func:`run_matrix` serves each cell from the per-process memo, merges
+   cells whose resolved configurations are equal (config-dedup), and fans
+   the remaining runs out over a
+   :class:`~concurrent.futures.ProcessPoolExecutor`.
 3. Completed runs are hydrated into ``common._RUN_CACHE`` under the exact
    keys :func:`~repro.experiments.common.run_protocol` computes, so the
    figure renderers run unmodified — and render in milliseconds.
@@ -22,8 +23,8 @@ Workers return :class:`~repro.backup.driver.RotationResult` as plain dicts
 matrix renders byte-identical tables to a serial run.
 
 With ``trace_path`` set, every cell runs under a
-:class:`~repro.obs.tracer.TraceRecorder` (cache loads are bypassed — a
-cached result has no events to replay) and the per-cell event streams are
+:class:`~repro.obs.tracer.TraceRecorder` (the memo is bypassed — a
+memoised result has no events to replay) and the per-cell event streams are
 merged into one JSON Lines file: cells in :func:`cells_for` enumeration
 order, each introduced by a ``cell`` header event, sequence numbers
 reassigned globally.  Because events carry only simulated time, the merged
@@ -41,8 +42,7 @@ from typing import Callable, Iterable, Sequence
 from repro.backup.driver import RotationResult
 from repro.errors import ConfigError
 from repro.experiments import ablations, common, fig02, fig11, fig12, fig13, fig14, fig15
-from repro.experiments.cache import RunCache, run_cache_key
-from repro.experiments.common import ExperimentScale, get_scale, run_protocol
+from repro.experiments.common import get_scale, run_protocol
 from repro.experiments.pool import run_tasks
 from repro.obs.tracer import TraceRecorder, Tracer, write_trace
 
@@ -77,22 +77,17 @@ class Cell:
             self.gccdf_overrides,
         )
 
-    def cache_key(self, spec: ExperimentScale | None = None) -> str:
-        """Content hash for the persistent run cache (resolves the config)."""
-        spec = get_scale(spec if spec is not None else self.scale)
-        config = spec.config(
+    def config_key(self) -> tuple:
+        """The config-dedup key: everything the run depends on, with the
+        overrides resolved into the (frozen, hashable) ``SystemConfig``.
+        Cells with equal keys — e.g. an ablation overriding a knob with its
+        default value — share one protocol run."""
+        config = get_scale(self.scale).config(
             vc_table=self.vc_table,
             restore_cache_containers=self.restore_cache_containers,
             **dict(self.gccdf_overrides),
         )
-        return run_cache_key(
-            self.approach,
-            self.dataset,
-            spec.name,
-            config,
-            spec.workload_scale,
-            spec.num_backups(self.dataset),
-        )
+        return (self.approach, self.dataset, self.scale, config)
 
     @property
     def label(self) -> str:
@@ -226,12 +221,12 @@ class CellOutcome:
     """How one cell was satisfied and what it cost."""
 
     cell: Cell
-    #: ``"run"`` (executed), ``"disk"`` (persistent cache), ``"memo"``
-    #: (already in this process's memo), ``"dedup"`` (shared another
-    #: pending cell's run because the resolved configs were identical —
-    #: e.g. an ablation overriding a knob with its default value).
+    #: ``"run"`` (executed), ``"memo"`` (already in this process's memo),
+    #: ``"dedup"`` (shared another pending cell's run because the resolved
+    #: configs were identical — e.g. an ablation overriding a knob with its
+    #: default value).
     source: str
-    #: Wall-clock seconds of the protocol run (0 for cache hits).
+    #: Wall-clock seconds of the protocol run (0 for memo and dedup hits).
     seconds: float
 
 
@@ -242,16 +237,12 @@ class MatrixSummary:
     scale: str
     jobs: int
     outcomes: list[CellOutcome] = field(default_factory=list)
-    #: Wall-clock seconds of the whole matrix pass (cache probes included).
+    #: Wall-clock seconds of the whole matrix pass.
     wall_seconds: float = 0.0
 
     @property
     def executed(self) -> int:
         return sum(1 for o in self.outcomes if o.source == "run")
-
-    @property
-    def disk_hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.source == "disk")
 
     @property
     def memo_hits(self) -> int:
@@ -269,8 +260,8 @@ class MatrixSummary:
     def format_summary(self) -> str:
         return (
             f"matrix: {len(self.outcomes)} cells at scale={self.scale}, jobs={self.jobs} — "
-            f"{self.executed} executed, {self.disk_hits} disk-cache hits, "
-            f"{self.memo_hits} memo hits, {self.dedup_hits} config-dedup hits; "
+            f"{self.executed} executed, {self.memo_hits} memo hits, "
+            f"{self.dedup_hits} config-dedup hits; "
             f"cell seconds {self.total_cell_seconds:.1f}, "
             f"wall {self.wall_seconds:.1f}s"
         )
@@ -281,7 +272,6 @@ class MatrixSummary:
             "jobs": self.jobs,
             "cells_total": len(self.outcomes),
             "executed": self.executed,
-            "disk_hits": self.disk_hits,
             "memo_hits": self.memo_hits,
             "dedup_hits": self.dedup_hits,
             "total_cell_seconds": self.total_cell_seconds,
@@ -322,9 +312,8 @@ class MatrixSummary:
 
 def _merged_events(
     cells: Sequence[Cell],
-    pending: dict[str, list[Cell]],
-    key_of: dict[Cell, str],
-    events_by_key: dict[str, list[dict]],
+    pending: dict[tuple, list[Cell]],
+    events_by_key: dict[tuple, list[dict]],
 ):
     """Yield the merged trace stream, deterministically.
 
@@ -336,7 +325,7 @@ def _merged_events(
     """
     seq = 0
     for cell in cells:
-        key = key_of[cell]
+        key = cell.config_key()
         representative = pending[key][0]
         if cell is representative:
             header = cell.header_event()
@@ -355,22 +344,19 @@ def run_matrix(
     experiments: Iterable[str],
     scale: str = "quick",
     jobs: int | None = None,
-    use_cache: bool = True,
-    cache_dir: str | os.PathLike | None = None,
     progress: Callable[[str], None] | None = None,
     trace_path: str | os.PathLike | None = None,
 ) -> MatrixSummary:
     """Satisfy every cell the selected experiments need, in parallel.
 
     Afterwards ``common._RUN_CACHE`` holds all results, so rendering the
-    experiments costs no protocol runs.  ``use_cache=False`` skips the
-    persistent cache entirely (both probe and store); ``jobs=1`` runs the
-    misses serially in-process, with no worker pool.
+    experiments costs no protocol runs.  ``jobs=1`` runs the cells serially
+    in-process, with no worker pool.
 
     ``trace_path`` writes a merged JSON Lines trace of every cell's event
-    stream.  Tracing forces every cell to execute (memo and disk-cache
-    *loads* are bypassed — cached results carry no events), but completed
-    runs are still stored, so a later untraced pass hits the cache.
+    stream.  Tracing forces every cell to execute (memo *loads* are
+    bypassed — a memoised result carries no events), but completed runs
+    are still memoised.
     """
     spec = get_scale(scale)
     tracing = trace_path is not None
@@ -378,57 +364,26 @@ def run_matrix(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     emit = progress or (lambda line: None)
-    cache = RunCache(cache_dir) if use_cache else None
-    if cache is not None:
-        # Fail fast on an unwritable root (e.g. a mistyped REPRO_CACHE_DIR)
-        # rather than after the first completed cell tries to persist.
-        try:
-            cache.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"run-cache directory {cache.root} is not writable ({exc}); "
-                "set REPRO_CACHE_DIR to a writable path or disable the "
-                "cache (--no-cache / use_cache=False)"
-            ) from exc
 
     wall_started = time.perf_counter()
     cells = cells_for(experiments, spec.name)
     outcomes: dict[Cell, CellOutcome] = {}
-    # Pending cells grouped by content hash: cells whose resolved configs
-    # are identical (e.g. an ablation overriding a knob with its default
-    # value) share one protocol run — and therefore one cache entry, so a
-    # rerun served from disk renders byte-identically to the cold pass.
-    pending: dict[str, list[Cell]] = {}
-    key_of: dict[Cell, str] = {}
-    events_by_key: dict[str, list[dict]] = {}
+    # Pending cells grouped by config-dedup key: cells whose resolved
+    # configs are identical share one protocol run.
+    pending: dict[tuple, list[Cell]] = {}
+    events_by_key: dict[tuple, list[dict]] = {}
     for cell in cells:
-        key = cell.cache_key(spec)
-        key_of[cell] = key
-        # Tracing bypasses memo and disk-cache *loads*: a cached result has
-        # no events to replay, so every cell must actually execute.
-        if not tracing:
-            if common.memoized(cell.memo_key()) is not None:
-                outcomes[cell] = CellOutcome(cell, "memo", 0.0)
-                continue
-            if cache is not None:
-                result = cache.load(key)
-                if result is not None:
-                    common.hydrate(cell.memo_key(), result)
-                    outcomes[cell] = CellOutcome(cell, "disk", 0.0)
-                    emit(f"[cache] {cell.label}")
-                    continue
-        pending.setdefault(key, []).append(cell)
+        if not tracing and common.memoized(cell.memo_key()) is not None:
+            outcomes[cell] = CellOutcome(cell, "memo", 0.0)
+            continue
+        pending.setdefault(cell.config_key(), []).append(cell)
 
     def finish(
-        key: str,
-        result: RotationResult,
-        seconds: float,
-        done: int,
-        events: list[dict] | None = None,
+        key: tuple, outcome: tuple[dict, float, list[dict] | None], done: int
     ) -> None:
+        data, seconds, events = outcome
+        result = RotationResult.from_dict(data)
         representative, *sharers = pending[key]
-        if cache is not None:
-            cache.store(key, result)
         if events is not None:
             events_by_key[key] = events
         for cell in pending[key]:
@@ -439,21 +394,15 @@ def run_matrix(
         shared = f" (+{len(sharers)} shared)" if sharers else ""
         emit(f"[{done}/{len(pending)}] {representative.label}: {seconds:.1f}s{shared}")
 
-    def on_cell_done(
-        key: str, outcome: tuple[dict, float, list[dict] | None], done: int
-    ) -> None:
-        data, seconds, events = outcome
-        finish(key, RotationResult.from_dict(data), seconds, done, events)
-
     run_tasks(
         [(key, (group[0], tracing)) for key, group in pending.items()],
         _execute_cell,
         jobs,
-        on_cell_done,
+        finish,
     )
 
     if tracing:
-        written = write_trace(trace_path, _merged_events(cells, pending, key_of, events_by_key))
+        written = write_trace(trace_path, _merged_events(cells, pending, events_by_key))
         emit(f"[trace] {written} events -> {trace_path}")
 
     summary = MatrixSummary(

@@ -9,17 +9,15 @@ Usage::
 
 Protocol cells are scheduled by :mod:`repro.experiments.matrix`: the cells
 the selected figures need are enumerated up front, deduplicated (figures
-11–14 share runs), served from the persistent run cache under
-``.repro-cache/`` (``REPRO_CACHE_DIR`` overrides; ``--no-cache`` bypasses),
-and the misses fan out over ``--jobs`` worker processes.  Rendering then
-reads the hydrated in-process memo, so ``--all`` costs barely more than the
-slowest cell — and a warm-cache rerun costs no protocol runs at all.
+11–14 share runs) and fanned out over ``--jobs`` worker processes.
+Rendering then reads the hydrated in-process memo, so no cell runs twice.
 
-Tables go to stdout; progress lines, the matrix summary and cache-hit
-counters go to stderr, so redirected stdout is byte-stable across ``--jobs``
-values and cache states.  Per-cell and total wall-times are written to
-``benchmarks/results/BENCH_matrix.json`` (``--bench-json`` overrides the
-path) whenever at least one protocol cell was needed.
+Tables go to stdout, each followed by its render time; progress lines and
+the matrix summary go to stderr.  Every table is a deterministic function
+of the tree, identical across runs and ``--jobs`` values.  Per-cell and
+total wall-times are written to ``benchmarks/results/BENCH_matrix.json``
+(``--bench-json`` overrides the path) whenever at least one protocol cell
+was needed.
 """
 
 from __future__ import annotations
@@ -97,11 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for protocol cells (default: CPU count)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the persistent run cache (neither read nor write it)",
-    )
-    parser.add_argument(
         "--bench-json",
         default=matrix.DEFAULT_BENCH_PATH,
         metavar="PATH",
@@ -136,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
             selected,
             scale=args.scale,
             jobs=args.jobs,
-            use_cache=not args.no_cache,
             progress=progress,
             trace_path=args.trace,
         )

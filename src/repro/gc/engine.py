@@ -103,9 +103,7 @@ class MarkSweepGC:
         if tracer.enabled:
             # The analyze stage is CPU work charged in simulated seconds
             # (ops × modelled per-op cost), so it is emitted directly rather
-            # than through a disk phase.  Measured interpreter wall time
-            # (``analyze_cpu_seconds``) never enters the trace: events must
-            # stay deterministic.
+            # than through a disk phase.
             tracer.emit(
                 "gc.analyze",
                 sim_time=self.disk.sim_time,
@@ -141,7 +139,6 @@ class MarkSweepGC:
             analyze_seconds=analyze_seconds,
             sweep_read_seconds=sweep.delta.read_seconds,
             sweep_write_seconds=sweep.delta.write_seconds,
-            analyze_cpu_seconds=ctx.analyze_watch.elapsed,
         )
         self._rounds += 1
         self.history.append(report)

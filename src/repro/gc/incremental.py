@@ -146,7 +146,6 @@ class GCCycleState:
     produced_ids: list = field(default_factory=list)
     sweep_result: MigrationResult = field(default_factory=MigrationResult)
     analyze_ops: int = 0
-    analyze_cpu_seconds: float = 0.0
     sweep_read_seconds: float = 0.0
     sweep_write_seconds: float = 0.0
     #: Increment boundaries crossed (context for the crash point).
@@ -368,8 +367,6 @@ class IncrementalGC:
         )
 
     def _reset_runners(self, state: GCCycleState) -> None:
-        if self._ctx is not None:
-            state.analyze_cpu_seconds += self._ctx.analyze_watch.elapsed
         self._ctx = None
         self._cf = None
         self._analyze_stage = None
@@ -657,7 +654,6 @@ class IncrementalGC:
             analyze_seconds=analyze_seconds,
             sweep_read_seconds=state.sweep_read_seconds,
             sweep_write_seconds=state.sweep_write_seconds,
-            analyze_cpu_seconds=state.analyze_cpu_seconds + ctx.analyze_watch.elapsed,
         )
         self._rounds = state.round_index + 1
         self.history.append(report)

@@ -68,7 +68,6 @@ from repro.simio.disk import DiskModel
 from repro.storage.container import Container
 from repro.storage.store import ContainerStore
 from repro.storage.writer import ContainerWriter
-from repro.util.timer import Stopwatch
 
 
 @dataclass
@@ -81,8 +80,6 @@ class SweepContext:
     recipes: RecipeStore
     disk: DiskModel
     mark: MarkResult
-    #: Wall-clock CPU time of reordering analysis (informational).
-    analyze_watch: Stopwatch = field(default_factory=Stopwatch)
     #: Analyzer/Planner operation count (membership probes + chunk moves);
     #: converted to simulated seconds via ``gccdf.analyze_op_cost`` for the
     #: Fig. 14 breakdown, so analyze time shares the I/O stages' currency.

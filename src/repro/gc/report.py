@@ -3,9 +3,9 @@
 * Container distribution (Fig. 13): *involved* (on the GS list), *reclaimed*
   (confirmed to hold invalid chunks and deleted), *produced* (new containers
   receiving migrated chunks).
-* Time breakdown (Fig. 14): mark / analyze / sweep-read / sweep-write.
-  I/O stages are simulated seconds; analyze is measured CPU seconds of the
-  reordering logic (GCCDF only — zero for classic sweeps).
+* Time breakdown (Fig. 14): mark / analyze / sweep-read / sweep-write, all
+  in simulated seconds.  Analyze is the Analyzer/Planner operation count
+  times a modelled per-op cost (GCCDF only — zero for classic sweeps).
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ class GCReport:
     analyze_seconds: float
     sweep_read_seconds: float
     sweep_write_seconds: float
-    #: Measured Python wall-clock seconds of the Analyzer/Planner
-    #: (informational only — interpreter speed, not system cost).
-    analyze_cpu_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        """Plain-scalar dict; round-trips through JSON (run cache)."""
+        """Plain-scalar dict; round-trips through JSON (worker results)."""
         return asdict(self)
 
     @classmethod

@@ -66,9 +66,9 @@ class BloomFilter:
         self.num_hashes = max(1, round(num_bits / capacity * math.log(2)))
         self._bits = bytearray((num_bits + 7) // 8)
         self._salt = salt
-        # Pre-bound digest constructor: probing is a hot path (the mark
-        # stage's per-key index guard, the Analyzer's reference filters),
-        # so keyword-argument setup is paid once here, not per key.
+        # Pre-bound digest constructor: probing is a hot path (the hybrid
+        # ingest filter, the Bloom VC table, the Analyzer's reference
+        # filters), so keyword-argument setup is paid once here, not per key.
         # BLAKE2b accepts at most 16 salt bytes; longer salts are folded
         # through a 16-byte digest so distinct salts keep distinct probe
         # sequences (truncation would alias salts sharing a 16-byte

@@ -6,16 +6,6 @@ container, and GC *rewrites* it when migration moves chunks.  That recipes
 store only fingerprints while the index owns placements is the design
 decision (DESIGN.md §4) that lets GCCDF reorder chunks during GC without
 touching a single recipe.
-
-An optional Bloom filter (``negative_guard=True``) fronts :meth:`lookup` as
-a negative-lookup guard, the classic disk-index optimization (Zhu et al.,
-FAST '08): a key the filter has never seen is definitely absent, so the
-probe short-circuits without touching the placement map.  The guard is
-*semantics-free* — Bloom filters have no false negatives, so every lookup
-returns exactly what it would return unguarded, and the ``lookups``/``hits``
-counters are maintained identically.  :meth:`validate` is the unguarded
-variant used by the logical index's staleness checks, whose keys are almost
-always present (a guard there would be pure overhead).
 """
 
 from __future__ import annotations
@@ -24,12 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import UnknownChunkError
-from repro.hashing.bloom import BloomFilter
-
-#: Initial negative-guard capacity; the filter rebuilds at 4× whenever the
-#: number of inserted keys outgrows it, keeping the false-positive rate
-#: (and thus the skip rate) healthy at any index size.
-GUARD_INITIAL_CAPACITY = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,83 +27,31 @@ class Placement:
 class FingerprintIndex:
     """Mutable map fingerprint → :class:`Placement`."""
 
-    def __init__(self, negative_guard: bool = False) -> None:
+    def __init__(self) -> None:
         self._entries: dict[bytes, Placement] = {}
         self.lookups = 0
         self.hits = 0
-        self._guard: BloomFilter | None = (
-            BloomFilter(GUARD_INITIAL_CAPACITY, salt=b"fp-index-guard")
-            if negative_guard
-            else None
-        )
-        self._guard_adds = 0
-        #: Guarded duplicate-detection probes / probes the guard answered.
-        self.guard_probes = 0
-        self.guard_skips = 0
 
     def lookup(self, fp: bytes) -> Placement | None:
-        """Duplicate-detection probe; counts hit statistics.
-
-        The *modelled* guarded probe consults the filter first and touches
-        the map only when the filter says "maybe present".  The
-        implementation inverts that order — map first, filter only on map
-        misses — because here the map is an in-memory dict, not a disk
-        index: for present keys (the common case) the k-hash filter probe
-        is pure simulator overhead.  The inversion is unobservable: the
-        returned placement, ``lookups``/``hits``, and the guard counters
-        (``guard_probes`` per guarded probe, ``guard_skips`` when the
-        filter proves a key absent) are identical either way, because the
-        filter has no false negatives and always answers "present" for a
-        key that is in the map.
-        """
+        """Probe for ``fp``; counts ``lookups``/``hits``."""
         self.lookups += 1
         placement = self._entries.get(fp)
-        if self._guard is not None:
-            self.guard_probes += 1
-            if placement is None and fp not in self._guard:
-                # Never inserted ⇒ definitely absent (no false negatives);
-                # the modelled probe skips the map access entirely.
-                self.guard_skips += 1
-                return None
         if placement is not None:
             self.hits += 1
         return placement
 
     def lookup_many(self, fps: Sequence[bytes]) -> list["Placement | None"]:
-        """Batched duplicate-detection probes: one C-level ``dict.get`` map
-        over ``fps`` with the exact counter accounting of ``len(fps)``
-        individual :meth:`lookup` calls (``lookups``/``hits`` always;
-        ``guard_probes`` per probe and ``guard_skips`` for map-missing keys
-        the filter proves absent, when the guard is enabled).  The index is
-        not mutated, so batching is unobservable beyond the saved per-call
-        overhead.
+        """Batched probes: one C-level ``dict.get`` map over ``fps`` with the
+        exact ``lookups``/``hits`` accounting of ``len(fps)`` individual
+        :meth:`lookup` calls.  The index is not mutated, so batching is
+        unobservable beyond the saved per-call overhead.
         """
         results = list(map(self._entries.get, fps))
-        probes = len(results)
-        self.lookups += probes
+        self.lookups += len(results)
         # Truthiness, not ``count(None)``: placements are plain dataclasses,
         # so an equality-based count would dispatch ``__eq__`` per element.
-        hits = len(list(filter(None, results)))
-        self.hits += hits
-        guard = self._guard
-        if guard is not None:
-            self.guard_probes += probes
-            if hits != probes:
-                self.guard_skips += sum(
-                    1
-                    for fp, placement in zip(fps, results)
-                    if placement is None and fp not in guard
-                )
+        self.hits += len(list(filter(None, results)))
         return results
-
-    def validate(self, fp: bytes) -> Placement | None:
-        """Staleness check for a key expected present; bypasses the guard
-        but keeps the same hit statistics as :meth:`lookup`."""
-        self.lookups += 1
-        placement = self._entries.get(fp)
-        if placement is not None:
-            self.hits += 1
-        return placement
 
     def get(self, fp: bytes) -> Placement:
         """Resolve a fingerprint that must exist (restore path)."""
@@ -131,34 +63,6 @@ class FingerprintIndex:
     def insert(self, fp: bytes, container_id: int, size: int) -> None:
         """Record a newly stored unique chunk."""
         self._entries[fp] = Placement(container_id=container_id, size=size)
-        guard = self._guard
-        if guard is not None:
-            guard.add(fp)
-            self._guard_adds += 1
-            if self._guard_adds > guard.capacity:
-                self._rebuild_guard()
-
-    def _rebuild_guard(self) -> None:
-        """Regrow the saturated guard from the current key population.
-
-        Deleted keys drop out of the rebuilt filter; that only *removes*
-        false positives — a key absent from ``_entries`` is correctly
-        reported absent either way.
-        """
-        assert self._guard is not None
-        guard = BloomFilter(4 * self._guard.capacity, salt=b"fp-index-guard")
-        guard.update(self._entries)
-        self._guard = guard
-        self._guard_adds = len(self._entries)
-
-    @property
-    def guard_enabled(self) -> bool:
-        return self._guard is not None
-
-    @property
-    def guard_skip_rate(self) -> float:
-        """Fraction of guarded probes answered without a map access."""
-        return self.guard_skips / self.guard_probes if self.guard_probes else 0.0
 
     def relocate(self, fp: bytes, container_id: int) -> None:
         """Update placement after GC migrates a chunk."""
@@ -208,7 +112,7 @@ class FingerprintIndex:
 
     def placements_map(self) -> dict[bytes, Placement]:
         """The live fp → placement dict, for batched kernels that fuse many
-        :meth:`validate` probes into one loop (callers must replicate the
+        :meth:`lookup` probes into one loop (callers must replicate the
         ``lookups``/``hits`` accounting in bulk and never mutate the map)."""
         return self._entries
 

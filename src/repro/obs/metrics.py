@@ -3,14 +3,14 @@
 :class:`MetricsRegistry` is a deliberately small aggregator: named counters
 (ints or floats) and fixed-memory histograms (count/sum/min/max).  Both are
 deterministic, mergeable, and serialize to plain JSON — the three
-properties the experiment harness needs to carry metrics through the
-persistent run cache and across pool workers.
+properties the experiment harness needs to carry metrics across pool
+workers.
 
 :func:`rotation_metrics` distils one protocol run's reports into a
 registry: per-phase simulated seconds (the Fig. 14 currency), byte and
 container counters per pipeline stage, and per-backup restore histograms
 (the Fig. 12 distribution).  It is a pure function of the run's reports,
-so cached results rebuild byte-identical payloads.
+so round-tripped results rebuild byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ def rotation_metrics(result, stats=None, runtime=None) -> dict:
     loosely to keep this package dependency-free); ``stats`` an optional
     :class:`~repro.backup.service.ServiceStats` whose whole-run accounting
     lands under ``service.*`` counters; ``runtime`` an optional flat
-    mapping of hot-path execution counters (index probes, Bloom-guard skip
-    rate — see ``BackupService.runtime_metrics``) recorded under
-    ``runtime.*``.  Returns ``MetricsRegistry.to_dict()`` form, ready to
-    store on the result and in the run cache.
+    mapping of hot-path execution counters (index probes, interner size —
+    see ``BackupService.runtime_metrics``) recorded under ``runtime.*``.
+    Returns ``MetricsRegistry.to_dict()`` form, ready to store on the
+    result.
     """
     registry = MetricsRegistry()
 

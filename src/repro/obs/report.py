@@ -7,7 +7,7 @@ the ``gc.sweep`` span carries its phase-diffed I/O payload, whose
 ``read_seconds``/``write_seconds`` split is exactly the sweep-read /
 sweep-write distinction of the paper's Fig. 14.  This module re-derives the
 per-stage, per-approach, per-dataset breakdown *from the trace only* — no
-run cache, no figure memo — which is the acceptance check that the trace
+figure memo — which is the acceptance check that the trace
 stream is a faithful record of the run.
 
 Usage::

@@ -31,7 +31,7 @@ class RestoreReport:
     cache_hits: int
 
     def to_dict(self) -> dict:
-        """Plain-scalar dict; round-trips through JSON (run cache)."""
+        """Plain-scalar dict; round-trips through JSON (worker results)."""
         return asdict(self)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Small shared utilities: units, deterministic RNG, stopwatches."""
+"""Small shared utilities: units and a deterministic RNG."""
 
 from repro.util.units import (
     KIB,
@@ -10,7 +10,6 @@ from repro.util.units import (
     parse_size,
 )
 from repro.util.rng import DeterministicRng, derive_seed
-from repro.util.timer import Stopwatch
 
 __all__ = [
     "KIB",
@@ -22,5 +21,4 @@ __all__ = [
     "parse_size",
     "DeterministicRng",
     "derive_seed",
-    "Stopwatch",
 ]

@@ -38,8 +38,7 @@ from repro.workloads.source import MutatingSource, MutationProfile
 #: Default trace-level chunk geometry (matches ``SystemConfig.scaled()``).
 DEFAULT_CHUNKING = ChunkingConfig(min_size=256, avg_size=1 * KIB, max_size=4 * KIB)
 
-#: Default dataset seed; part of the persistent run-cache key, so bumping it
-#: invalidates cached protocol runs along with the workloads they ran over.
+#: Default dataset seed.
 DEFAULT_SEED = 2025
 
 

@@ -2,12 +2,13 @@
 
 ``snapshot`` is everything a service's ingest/GC engines can influence;
 ``digest`` is its canonical sha256.  ``tests/data/end_state_digests.json``
-pins one digest per ``CELLS`` entry — frozen from the tuple-recipe
-("legacy") hot path on the last commit that had one, so the A/B oracle
-outlives the path it was taken from (``tests/test_end_state_digests.py``).
-The committed file was written by this module on a checkout of that commit
-(the one it names), with ``columnar=False`` added to ``run_cell``'s
-``ServiceOptions``; ``columnar=True`` reproduced every digest there.
+pins one digest per ``CELLS`` entry (``tests/test_end_state_digests.py``).
+The digests were first frozen from the tuple-recipe ("legacy") hot path on
+the last commit that had one, so the A/B oracle outlived the path it was
+taken from.  The committed file was re-written by this module on a
+checkout of the commit it names, whose snapshot differed from this one
+only in also pinning the fingerprint index's Bloom-guard counters; this
+tree, which has no guard, reproduces every digest and witness.
 
 Regenerate (a deliberate re-pin from the current tree)::
 
@@ -69,20 +70,11 @@ def snapshot(service) -> dict:
             fp: (placement.container_id, placement.size)
             for fp, placement in index.items()
         }
-        state["probes"] = (
-            index.lookups,
-            index.hits,
-            index.guard_probes,
-            index.guard_skips,
-        )
+        state["probes"] = (index.lookups, index.hits)
     hybrid = getattr(service, "hybrid", None)
     if hybrid is not None:
         state["hybrid"] = hybrid.counters()
-    state["gc_reports"] = [
-        # analyze_cpu_seconds is measured interpreter wall time.
-        {k: v for k, v in report.to_dict().items() if k != "analyze_cpu_seconds"}
-        for report in service.gc_history
-    ]
+    state["gc_reports"] = [report.to_dict() for report in service.gc_history]
     state["sim_time"] = service.disk.sim_time
     return state
 

@@ -243,22 +243,22 @@ probe_batches = st.lists(
 
 class TestBulkIndexKernels:
     @settings(deadline=None, max_examples=50)
-    @given(probe_batches, st.booleans())
-    def test_lookup_many_matches_lookup_loop(self, probe_ids, guard):
-        bulk = FingerprintIndex(negative_guard=guard)
-        loop = FingerprintIndex(negative_guard=guard)
+    @given(probe_batches)
+    def test_lookup_many_matches_lookup_loop(self, probe_ids):
+        bulk = FingerprintIndex()
+        loop = FingerprintIndex()
         for i in range(0, 40, 2):  # evens present, odds missing
             bulk.insert(_keyed(i), container_id=i, size=64)
             loop.insert(_keyed(i), container_id=i, size=64)
         fps = [_keyed(i) for i in probe_ids]
         assert bulk.lookup_many(fps) == [loop.lookup(fp) for fp in fps]
-        for attr in ("lookups", "hits", "guard_probes", "guard_skips"):
+        for attr in ("lookups", "hits"):
             assert getattr(bulk, attr) == getattr(loop, attr), attr
 
     def test_lookup_many_empty_batch_is_free(self):
-        index = FingerprintIndex(negative_guard=True)
+        index = FingerprintIndex()
         assert index.lookup_many([]) == []
-        assert index.lookups == index.guard_probes == 0
+        assert index.lookups == 0
 
     def test_relocate_many_matches_relocate_loop(self):
         batch = FingerprintIndex()

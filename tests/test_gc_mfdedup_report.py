@@ -27,23 +27,6 @@ class TestGCReportSemantics:
         )
         assert report.total_seconds == pytest.approx(10.0)
 
-    def test_cpu_seconds_default_zero(self):
-        report = GCReport(
-            round_index=0,
-            backups_purged=0,
-            involved_containers=0,
-            reclaimed_containers=0,
-            produced_containers=0,
-            migrated_bytes=0,
-            reclaimed_bytes=0,
-            migrated_chunks=0,
-            mark_seconds=0.0,
-            analyze_seconds=0.0,
-            sweep_read_seconds=0.0,
-            sweep_write_seconds=0.0,
-        )
-        assert report.analyze_cpu_seconds == 0.0
-
     def test_frozen(self):
         report = GCReport(
             round_index=0,

@@ -1,4 +1,4 @@
-"""The columnar recipe and its substrate (interner, negative-lookup guard).
+"""The columnar recipe and its substrate (the fingerprint interner).
 
 A :class:`~repro.index.columnar.ColumnarRecipe` (interned ids +
 ``array('q')`` columns) must present exactly the stream it was built from:
@@ -6,8 +6,7 @@ same fingerprints in order, same unique set, same logical size, and an
 ``entries`` view indistinguishable from the tuple of ``ChunkRef``s.
 Property tests check the views against the raw stream over random inputs
 (the mark over these recipes is checked against a per-entry model in
-``tests/test_prop_mark.py``); unit tests pin the interner and the Bloom
-negative-lookup guard.
+``tests/test_prop_mark.py``); unit tests pin the interner.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from hypothesis import given, strategies as st
 
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.columnar import ColumnarRecipe
-from repro.index.fingerprint_index import (
-    GUARD_INITIAL_CAPACITY,
-    FingerprintIndex,
-)
 from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 
@@ -138,46 +133,3 @@ class TestInterner:
         chunk_id = interner.intern(b"c" * 20)
         assert mapping[b"c" * 20] == chunk_id
 
-
-# ---------------------------------------------------------------------------
-# Bloom negative-lookup guard: result- and counter-identical to unguarded
-# ---------------------------------------------------------------------------
-
-class TestNegativeGuard:
-    def test_guarded_lookup_matches_unguarded(self):
-        guarded = FingerprintIndex(negative_guard=True)
-        plain = FingerprintIndex(negative_guard=False)
-        keys = [synthetic_fingerprint("guard", i) + b"\x00" * 4 for i in range(64)]
-        for i, key in enumerate(keys[:32]):
-            guarded.insert(key, container_id=i, size=512)
-            plain.insert(key, container_id=i, size=512)
-        for key in keys:  # 32 present, 32 never inserted
-            assert guarded.lookup(key) == plain.lookup(key)
-        assert guarded.lookups == plain.lookups == 64
-        assert guarded.hits == plain.hits == 32
-        assert guarded.guard_probes == 64
-        # Every never-inserted key is skipped (no false negatives; false
-        # positives may only reduce the skip count, never add wrong skips).
-        assert guarded.guard_skips <= 32
-        assert guarded.guard_skip_rate == guarded.guard_skips / 64
-        assert plain.guard_probes == plain.guard_skips == 0
-        assert not plain.guard_enabled and guarded.guard_enabled
-
-    def test_guard_rebuild_preserves_correctness(self):
-        index = FingerprintIndex(negative_guard=True)
-        n = GUARD_INITIAL_CAPACITY + 100  # forces at least one rebuild
-        keys = [b"%020d\x00\x00\x00\x00" % i for i in range(n)]
-        for i, key in enumerate(keys):
-            index.insert(key, container_id=i, size=1)
-        for key in keys:
-            assert index.lookup(key) is not None
-        assert index.hits == n
-
-    def test_validate_counts_like_lookup_without_guard_probes(self):
-        index = FingerprintIndex(negative_guard=True)
-        key = b"v" * 24
-        index.insert(key, container_id=0, size=1)
-        assert index.validate(key) is not None
-        assert index.validate(b"w" * 24) is None
-        assert index.lookups == 2 and index.hits == 1
-        assert index.guard_probes == 0

@@ -6,7 +6,7 @@ Three pillars:
   incremental cycle (drained increment by increment) must end every
   approach in *exactly* the stop-the-world state: same stats, same live
   backups, same physical layout, same simulated device time, same GC
-  reports (modulo the wall-clock ``analyze_cpu_seconds``).  Budgets only
+  reports.  Budgets only
   change how the work is sliced, never what it computes.
 * **Crash-resume** — a crash at *every* ``gc.increment`` boundary must
   recover to a verifier-clean state from which the journaled cycle
@@ -21,7 +21,6 @@ Three pillars:
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,12 +54,6 @@ def run_protocol(approach: str, gc_mode: str, budget=None, faults=None):
     driver = RotationDriver(service, config.retention, dataset_name=DATASET)
     result = driver.run(dataset(DATASET, scale=0.1, num_backups=16))
     return service, result
-
-
-def report_key(report) -> dict:
-    data = dataclasses.asdict(report)
-    data.pop("analyze_cpu_seconds")  # interpreter wall-clock, not simulated
-    return data
 
 
 def layout_ids(service) -> list:
@@ -110,9 +103,7 @@ class TestDrainedEquivalence:
         assert inc_service.live_backup_ids() == stw_service.live_backup_ids()
         assert layout_ids(inc_service) == layout_ids(stw_service)
         assert inc_service.disk.sim_time == stw_service.disk.sim_time
-        assert [report_key(r) for r in inc.gc_reports] == [
-            report_key(r) for r in stw.gc_reports
-        ]
+        assert inc.gc_reports == stw.gc_reports
         assert verify_service(inc_service).errors == []
         assert len(live_journal(inc_service)) == 0
 
@@ -127,9 +118,7 @@ class TestDrainedEquivalence:
         assert a_service.stats() == b_service.stats()
         assert layout_ids(a_service) == layout_ids(b_service)
         assert a_service.disk.sim_time == b_service.disk.sim_time
-        assert [report_key(r) for r in a.gc_reports] == [
-            report_key(r) for r in b.gc_reports
-        ]
+        assert a.gc_reports == b.gc_reports
 
 
 class TestCrashResume:

@@ -9,7 +9,8 @@ Covers the three guarantees the layer makes:
   event stream, whichever process (or pool worker) ran it; merged matrix
   traces are byte-identical across ``--jobs`` values.
 * **Self-contained traces** — the Fig. 14 GC breakdown re-derives from the
-  trace file alone, and metrics payloads survive the persistent run cache.
+  trace file alone, and metrics payloads survive the ``to_dict``/``from_dict``
+  round trip pool workers ship results through.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.backup.options import ServiceOptions
 from repro.backup.driver import RotationResult
 from repro.backup.service import ServiceStats
 from repro.experiments import clear_cache
-from repro.experiments.cache import RunCache
 from repro.experiments.common import run_protocol
 from repro.experiments.matrix import cells_for, run_matrix
 from repro.obs.metrics import MetricsRegistry, rotation_metrics
@@ -245,12 +245,10 @@ class TestServiceStats:
         assert result.metrics["counters"]["gc.rounds"] == len(result.gc_reports)
         assert result.metrics["counters"]["restore.backups"] == len(result.restore_reports)
 
-    def test_metrics_survive_the_run_cache(self, tmp_path):
+    def test_metrics_survive_the_worker_round_trip(self):
         result = run_protocol("naive", "web", "quick")
-        cache = RunCache(tmp_path / "cache")
-        cache.store("ab" * 32, result)
-        loaded = cache.load("ab" * 32)
-        assert loaded is not None
+        loaded = RotationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert loaded is not result
         assert loaded.metrics == result.metrics
         assert loaded.metrics["counters"]["ingest.backups"] == len(result.ingest_reports)
 
@@ -271,25 +269,20 @@ class TestTraceDeterminism:
         """The acceptance guard: --jobs 1 and --jobs 2 merge to the same bytes."""
         serial = tmp_path / "serial.jsonl"
         pooled = tmp_path / "pooled.jsonl"
-        run_matrix(["fig02"], "quick", jobs=1, use_cache=False, trace_path=serial)
+        run_matrix(["fig02"], "quick", jobs=1, trace_path=serial)
         clear_cache()
-        run_matrix(["fig02"], "quick", jobs=2, use_cache=False, trace_path=pooled)
+        run_matrix(["fig02"], "quick", jobs=2, trace_path=pooled)
         assert serial.read_bytes() == pooled.read_bytes()
         headers = [e for e in read_trace(serial) if e["name"] == "cell"]
         assert len(headers) == len(cells_for(["fig02"], "quick"))
 
-    def test_tracing_bypasses_caches_but_still_stores(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        warm = run_matrix(["fig02"], "quick", jobs=1, cache_dir=cache_dir)
+    def test_tracing_bypasses_the_memo(self, tmp_path):
+        warm = run_matrix(["fig02"], "quick", jobs=1)
         assert warm.executed == len(warm.outcomes)
-        clear_cache()
-        traced = run_matrix(
-            ["fig02"], "quick", jobs=1, cache_dir=cache_dir,
-            trace_path=tmp_path / "t.jsonl",
-        )
-        # Every cell re-executed (cached results carry no events) ...
+        traced = run_matrix(["fig02"], "quick", jobs=1, trace_path=tmp_path / "t.jsonl")
+        # Every cell re-executed (memoised results carry no events) ...
         assert traced.executed == len(traced.outcomes)
-        assert traced.disk_hits == 0 and traced.memo_hits == 0
+        assert traced.memo_hits == 0
         # ... and the trace is not headers-only.
         events = list(read_trace(tmp_path / "t.jsonl"))
         assert sum(1 for e in events if e["name"] != "cell") > 0
@@ -299,7 +292,7 @@ class TestTraceDeterminism:
 class TestTraceReport:
     def test_breakdown_from_trace_matches_gc_reports(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        run_matrix(["fig02"], "quick", jobs=1, use_cache=False, trace_path=trace)
+        run_matrix(["fig02"], "quick", jobs=1, trace_path=trace)
         cells = collect_cells(read_trace(trace))
         by_key = {(c.approach, c.dataset): c for c in cells}
         for cell in cells_for(["fig02"], "quick"):
@@ -313,7 +306,6 @@ class TestTraceReport:
             )
         text = gc_breakdown(read_trace(trace))
         assert "GC time breakdown from trace" in text
-        assert "(cpu)" not in text  # wall time never enters the trace
 
     def test_alias_cells_inherit_representative_totals(self):
         events = [

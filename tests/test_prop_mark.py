@@ -55,7 +55,7 @@ class StubStore:
 
 
 # m chunks, each placed in a container, never indexed (None), or indexed
-# and since dropped ("gone": the negative guard has seen the key).
+# and since dropped ("gone").
 worlds = st.integers(min_value=1, max_value=24).flatmap(
     lambda m: st.fixed_dictionaries(
         {
@@ -88,7 +88,7 @@ worlds = st.integers(min_value=1, max_value=24).flatmap(
 
 def build(world):
     config = dataclasses.replace(SystemConfig.scaled(), vc_table=world["vc_table"])
-    index = FingerprintIndex(negative_guard=True)
+    index = FingerprintIndex()
     for i, placement in enumerate(world["placements"]):
         if placement is not None:
             index.insert(key(i), 0 if placement == "gone" else placement, 64)
@@ -110,7 +110,7 @@ def build(world):
 
 
 def probe_counters(index: FingerprintIndex) -> tuple:
-    return (index.lookups, index.hits, index.guard_probes, index.guard_skips)
+    return (index.lookups, index.hits)
 
 
 def model_mark(world) -> dict:
@@ -175,7 +175,6 @@ def test_sliced_mark_equals_mark_stage(world):
     else:  # Bloom: no false negatives
         assert all(k in expected.vc_table for k in model["live_keys"])
     assert (index.lookups, index.hits) == (model["lookups"], model["hits"])
-    assert index.guard_probes == model["lookups"]
     assert (disk.stats.read_ops, disk.stats.read_bytes) == (
         model["read_ops"],
         model["read_bytes"],
