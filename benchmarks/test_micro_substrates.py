@@ -54,9 +54,7 @@ def test_ingest_pipeline_rate(benchmark):
     def ingest_once():
         recipes = RecipeStore()
         pipeline = IngestPipeline(
-            store=ContainerStore(
-                capacity=128 * 1024, disk=DiskModel(), interner=recipes.interner
-            ),
+            store=ContainerStore(capacity=128 * 1024, disk=DiskModel()),
             index=FingerprintIndex(),
             recipes=recipes,
         )
@@ -69,11 +67,10 @@ def test_ingest_pipeline_rate(benchmark):
 def _clustering_world(num_backups=20, num_chunks=5000):
     rng = DeterministicRng(7)
     recipes = RecipeStore()
-    chunks = [
-        ChunkRef(fp=storage_key(synthetic_fingerprint("c", i)), size=1024)
+    ids = [
+        recipes.interner.intern(storage_key(synthetic_fingerprint("c", i)))
         for i in range(num_chunks)
     ]
-    ids = [recipes.interner.intern(chunk.fp) for chunk in chunks]
     for backup_id in range(num_backups):
         recipes.new_backup_id()
         start = rng.randint(0, num_chunks // 2)
@@ -86,19 +83,19 @@ def _clustering_world(num_backups=20, num_chunks=5000):
                 [1024] * len(ids[start : start + length]),
             )
         )
-    return recipes, chunks, tuple(range(num_backups))
+    return recipes, ids, tuple(range(num_backups))
 
 
 def test_analyzer_clustering_rate(benchmark):
-    recipes, chunks, involved = _clustering_world()
+    recipes, ids, involved = _clustering_world()
     config = GCCDFConfig()
 
     def cluster_once():
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        return analyzer.cluster(chunks, involved)
+        return analyzer.cluster(ids, involved)
 
     clusters = benchmark(cluster_once)
-    assert sum(c.num_chunks for c in clusters) == len(chunks)
+    assert sum(c.num_chunks for c in clusters) == len(ids)
 
 
 def test_greedy_packing_rate(benchmark):
@@ -106,7 +103,7 @@ def test_greedy_packing_rate(benchmark):
     clusters = [
         Cluster(
             ownership=tuple(sorted(rng.sample(range(40), rng.randint(1, 10)))),
-            chunks=[ChunkRef(fp=storage_key(synthetic_fingerprint("p", i)), size=64)],
+            ids=[i],
         )
         for i in range(400)
     ]

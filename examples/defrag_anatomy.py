@@ -29,13 +29,17 @@ def refs(ids):
     return [ChunkRef(fp=synthetic_fingerprint("demo", i), size=512) for i in ids]
 
 
+def demo_ids(service, chunk_ids):
+    """The demo's logical chunk numbers for interned storage-key ids."""
+    number = {synthetic_fingerprint("demo", i): i for i in range(200)}
+    keys = service.recipes.interner.keys()
+    return [number.get(keys[chunk_id][:20], "?") for chunk_id in chunk_ids]
+
+
 def show_layout(service, label):
     print(f"-- container layout: {label} --")
-    fp_to_id = {}
-    for i in range(200):
-        fp_to_id[synthetic_fingerprint("demo", i)] = i
     for container in service.store.containers():
-        ids = [fp_to_id.get(entry.fp[:20], "?") for entry in container]
+        ids = demo_ids(service, container.chunk_ids)
         print(f"  container {container.container_id}: chunks {ids}")
 
 
@@ -86,12 +90,10 @@ def main() -> None:
     checker = ReferenceChecker(service.recipes, service.config.gccdf)
     analyzer = Analyzer(checker, service.config.gccdf)
     for segment in Preprocessor(ctx).segments():
-        clusters = analyzer.cluster(segment.valid_chunks, segment.involved_backups)
+        clusters = analyzer.cluster(segment.valid_ids, segment.involved_backups)
         print(f"segment {segment.index}: involved backups {list(segment.involved_backups)}")
         for cluster in clusters:
-            ids = [c.fp[:20] for c in cluster.chunks]
-            names = [synthetic_fingerprint("demo", i) for i in range(200)]
-            chunk_ids = [names.index(fp) for fp in ids]
+            chunk_ids = demo_ids(service, cluster.ids)
             print(f"  cluster owners={list(cluster.ownership)}: chunks {chunk_ids}")
         order = Planner(service.config.gccdf).plan(clusters, segment.involved_backups)
         print(f"  packed migration order: {order.num_chunks} chunks in "

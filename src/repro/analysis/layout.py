@@ -46,7 +46,9 @@ def render_layout(service: DedupBackupService, max_containers: int | None = None
         if max_containers is not None and position >= max_containers:
             lines.append(f"… ({len(service.store) - max_containers} more containers)")
             break
-        cells = "".join(glyph(owners.get(entry.fp, frozenset())) for entry in container)
+        cells = "".join(
+            glyph(owners.get(chunk_id, frozenset())) for chunk_id in container.chunk_ids
+        )
         fill = container.utilization
         lines.append(f"container {container.container_id:>4} |{cells}| {fill:4.0%}")
 

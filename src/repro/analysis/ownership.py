@@ -21,13 +21,13 @@ from repro.backup.system import DedupBackupService
 from repro.metrics.series import series_summary
 
 
-def _ownership_map(service: DedupBackupService) -> dict[bytes, frozenset[int]]:
-    """storage key → set of live backups referencing it."""
-    owners: dict[bytes, set[int]] = defaultdict(set)
+def _ownership_map(service: DedupBackupService) -> dict[int, frozenset[int]]:
+    """interned chunk id → set of live backups referencing it."""
+    owners: dict[int, set[int]] = defaultdict(set)
     for recipe in service.recipes.live_recipes():
-        for entry in recipe.entries:
-            owners[entry.fp].add(recipe.backup_id)
-    return {key: frozenset(backups) for key, backups in owners.items()}
+        for chunk_id in recipe.unique_ids():
+            owners[chunk_id].add(recipe.backup_id)
+    return {chunk_id: frozenset(backups) for chunk_id, backups in owners.items()}
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def container_purity(service: DedupBackupService) -> list[ContainerPurity]:
     purities: list[ContainerPurity] = []
     for container in service.store.containers():
         by_group: dict[frozenset[int], int] = defaultdict(int)
-        for entry in container.entries:
-            by_group[owners.get(entry.fp, frozenset())] += entry.size
+        for chunk_id, size in zip(container.chunk_ids, container.chunk_sizes):
+            by_group[owners.get(chunk_id, frozenset())] += size
         total = sum(by_group.values())
         dominant = max(by_group.values()) if by_group else 0
         purities.append(

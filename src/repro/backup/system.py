@@ -72,12 +72,9 @@ class DedupBackupService(BackupService):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.disk = DiskModel(self.config.disk, tracer=self.tracer)
         self.recipes = RecipeStore()
-        # Sealed containers carry an interned-id manifest over the same id
-        # space as the recipes, so GC validity partitioning runs as set
-        # algebra.
-        self.store = ContainerStore(
-            self.config.container_size, self.disk, self.recipes.interner
-        )
+        # Containers hold chunk ids in the recipes' interned id space, so GC
+        # validity partitioning runs as set algebra.
+        self.store = ContainerStore(self.config.container_size, self.disk)
         self.index = FingerprintIndex()
         # Hybrid dedup state exists only when the mode can actually take
         # effect: it needs dedup and is bypassed by rewriting policies (the

@@ -76,21 +76,23 @@ def verify_system(service: DedupBackupService) -> VerificationReport:
     recipes = service.recipes
 
     # --- container-side structure (invariants 4, 5) -------------------
+    keys = recipes.interner.keys()
     container_keys: dict[bytes, int] = {}
     for container in store.containers():
         report.containers += 1
         seen: set[bytes] = set()
         total = 0
-        for entry in container.entries:
+        for chunk_id, size in zip(container.chunk_ids, container.chunk_sizes):
+            key = keys[chunk_id]
             report.container_chunks += 1
-            total += entry.size
-            if entry.fp in seen:
+            total += size
+            if key in seen:
                 report.errors.append(
                     f"container {container.container_id} holds duplicate key "
-                    f"{entry.fp.hex()[:12]}…"
+                    f"{key.hex()[:12]}…"
                 )
-            seen.add(entry.fp)
-            container_keys[entry.fp] = container.container_id
+            seen.add(key)
+            container_keys[key] = container.container_id
         if total != container.used_bytes:
             report.errors.append(
                 f"container {container.container_id} used_bytes={container.used_bytes} "

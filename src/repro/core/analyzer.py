@@ -17,7 +17,8 @@ All four of the paper's optimizations are implemented:
 ③ **Split denial** — leaves at or below the configured chunk-count
    threshold stop splitting, bounding cluster fragmentation.
 ④ **Doubly-linked leaves holding chunk references** — leaves form a linked
-   list for the Planner's left-to-right traversal and store refs, not data.
+   list for the Planner's left-to-right traversal and store interned chunk
+   ids, not data.
 
 Tree orientation: *referenced* chunks go to the **left** child.  The
 leftmost leaf is therefore the cluster owned by every recent backup (the
@@ -36,7 +37,6 @@ from repro.config import GCCDFConfig
 from repro.core.clusters import Cluster
 from repro.hashing.bloom import BloomFilter
 from repro.index.recipe import RecipeStore
-from repro.model import ChunkRef
 
 
 class ReferenceChecker:
@@ -99,11 +99,10 @@ class ReferenceChecker:
 
 @dataclass
 class _LeafNode:
-    """A leaf of the ownership tree (optimization ④: linked, refs only)."""
+    """A leaf of the ownership tree (optimization ④: linked, ids only)."""
 
-    chunks: list[ChunkRef]
-    #: Interned ids aligned with ``chunks`` (id kernel only).
-    ids: list[int] | None = None
+    #: Interned ids of the chunks in this leaf.
+    ids: list[int]
     #: Backups (ascending id) confirmed to reference every chunk here.
     owners: list[int] = field(default_factory=list)
     denied: bool = False
@@ -113,17 +112,13 @@ class _LeafNode:
     def split(self, flags: list[bool]) -> None:
         """Keep the flagged chunks (left child); the rest become a new right
         sibling, linked in after this leaf."""
-        inverse = list(map(not_, flags))
         right = _LeafNode(
-            chunks=list(compress(self.chunks, inverse)),
+            ids=list(compress(self.ids, map(not_, flags))),
             owners=list(self.owners),
             prev=self,
             next=self.next,
         )
-        self.chunks = list(compress(self.chunks, flags))
-        if self.ids is not None:
-            right.ids = list(compress(self.ids, inverse))
-            self.ids = list(compress(self.ids, flags))
+        self.ids = list(compress(self.ids, flags))
         if self.next is not None:
             self.next.prev = right
         self.next = right
@@ -151,31 +146,27 @@ class Analyzer:
         return self.last_leaf_count * node_bytes + self.last_chunk_count * pointer_bytes
 
     def cluster(
-        self,
-        valid_chunks: list[ChunkRef],
-        involved_backups: tuple[int, ...],
-        valid_ids: list[int] | None = None,
+        self, valid_ids: list[int], involved_backups: tuple[int, ...]
     ) -> list[Cluster]:
-        """Run the round-based splitting; returns clusters in tree order.
+        """Cluster a segment's valid chunks, given as interned ids; returns
+        clusters in tree order.
 
-        Two kernels, same clusters whenever membership answers agree.  The
-        **id kernel** runs when ``valid_ids`` (interned ids aligned with
-        ``valid_chunks``) is given and the check is exact: C-level set
-        algebra of each leaf's id column against the recipe's cached id
-        set, where only a real split pays a per-chunk pass.  Otherwise (the
-        Bloom ablation) every chunk's key goes through the per-recipe
-        predicate.  ``probes`` counts chunk
-        classifications on both, so ``analyze_ops`` and the ``gc.segment``
-        trace do not depend on which kernel ran.
+        Two kernels, same clusters whenever membership answers agree.  With
+        an exact reference check (the default) the **id kernel** runs:
+        C-level set algebra of each leaf's id column against the recipe's
+        cached id set, where only a real split pays a per-chunk pass.
+        Otherwise (the Bloom ablation) every chunk's key, read from the
+        interner's id → key table, goes through the per-recipe predicate.
+        ``probes`` counts chunk classifications on both, so ``analyze_ops``
+        and the ``gc.segment`` trace do not depend on which kernel ran.
         """
-        if not valid_chunks:
+        if not valid_ids:
             self.last_leaf_count = self.last_probe_count = self.last_chunk_count = 0
             return []
 
-        by_id = valid_ids is not None and self.config.exact_reference_check
-        head = _LeafNode(
-            chunks=list(valid_chunks), ids=list(valid_ids) if by_id else None
-        )
+        by_id = self.config.exact_reference_check
+        keys = self.checker.recipes.interner.keys()
+        head = _LeafNode(ids=list(valid_ids))
         threshold = self.config.split_denial_threshold
         probes = 0
 
@@ -188,12 +179,12 @@ class Analyzer:
             node: _LeafNode | None = head
             while node is not None:
                 successor = node.next
-                if node.denied or (threshold and len(node.chunks) <= threshold):
+                if node.denied or (threshold and len(node.ids) <= threshold):
                     # Optimization ③: deny further splitting of tiny leaves.
                     node.denied = True
                     node = successor
                     continue
-                probes += len(node.chunks)
+                probes += len(node.ids)
                 # `flags`: True / False when the leaf is wholly referenced /
                 # unreferenced, else one bool per chunk.
                 if by_id:
@@ -204,7 +195,7 @@ class Analyzer:
                     else:
                         flags = list(map(members.__contains__, node.ids))
                 else:
-                    flags = [predicate(chunk.fp) for chunk in node.chunks]
+                    flags = [predicate(keys[chunk_id]) for chunk_id in node.ids]
                     if all(flags) or not any(flags):
                         flags = flags[0]
                 if flags:
@@ -221,12 +212,12 @@ class Analyzer:
                     # Paper convention: ownership ascending (oldest first);
                     # owners were appended newest-first, so reverse.
                     ownership=tuple(sorted(node.owners)),
-                    chunks=node.chunks,
+                    ids=node.ids,
                     denied=node.denied,
                 )
             )
             node = node.next
         self.last_leaf_count = len(clusters)
         self.last_probe_count = probes
-        self.last_chunk_count = len(valid_chunks)
+        self.last_chunk_count = len(valid_ids)
         return clusters

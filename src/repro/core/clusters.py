@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.model import ChunkRef
-
 
 @dataclass
 class Cluster:
@@ -24,24 +22,20 @@ class Cluster:
     owners, which is what the longest-matching-suffix tie-break inspects.
     For a split-denied leaf (§5.3 optimization ③) the ownership is the set
     decided so far and ``denied`` is True; chunks inside may disagree on the
-    backups that were never checked.
+    backups that were never checked.  ``ids`` are the chunks' interned ids
+    (the recipe store's id space), in segment order.
     """
 
     ownership: tuple[int, ...]
-    chunks: list[ChunkRef] = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
     denied: bool = False
 
     @property
-    def size_bytes(self) -> int:
-        return sum(chunk.size for chunk in self.chunks)
-
-    @property
     def num_chunks(self) -> int:
-        return len(self.chunks)
+        return len(self.ids)
 
     def __repr__(self) -> str:
         flag = ", denied" if self.denied else ""
         return (
-            f"Cluster(owners={list(self.ownership)}, {self.num_chunks} chunks, "
-            f"{self.size_bytes}B{flag})"
+            f"Cluster(owners={list(self.ownership)}, {self.num_chunks} chunks{flag})"
         )

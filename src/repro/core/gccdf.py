@@ -13,10 +13,11 @@ the next instead of sealing underfilled containers at every segment
 boundary.  This strictly reduces produced containers and matches the paper's
 "fill [clusters] sequentially into the containers" description.
 
-The sweep-write drains each segment as one batched column (the planner's
-reordered sequence plus a bulk source lookup against the index's placement
-map) through :meth:`JournaledCopyForward.migrate_batch`; payload-carrying
-(byte-level) segments go chunk by chunk.  Reclaim data comes from the
+The sweep-write drains each segment as one batched column through
+:meth:`JournaledCopyForward.migrate_batch`: the planner's reordered id
+sequence, each id's storage key from the interner, and each chunk's source
+container and size from one probe of the index's placement map;
+payload-carrying (byte-level) segments go chunk by chunk.  Reclaim data comes from the
 partitions the segment already carries.  :func:`migrate_segment` is that
 per-segment body, shared by this strategy and the incremental engine.
 """
@@ -53,14 +54,11 @@ class AnalyzeStage:
     def order(
         self,
         ctx: SweepContext,
-        valid_chunks,
-        involved_backups: tuple[int, ...],
         valid_ids: list[int],
+        involved_backups: tuple[int, ...],
     ) -> MigrationOrder:
         builds_before = self.checker.build_ops
-        clusters = self.analyzer.cluster(
-            valid_chunks, involved_backups, valid_ids=valid_ids
-        )
+        clusters = self.analyzer.cluster(valid_ids, involved_backups)
         order = self.planner.plan(clusters, involved_backups)
         ctx.analyze_ops += (
             (self.checker.build_ops - builds_before)
@@ -79,27 +77,26 @@ def migrate_segment(
 ) -> MigrationOrder:
     """One segment: analyze → reordered sweep-write → schedule reclaims."""
     # Analyze: cluster by ownership, then pack (CPU time, Fig. 14).
-    order = stage.order(
-        ctx, segment.valid_chunks, segment.involved_backups, segment.valid_ids
-    )
+    order = stage.order(ctx, segment.valid_ids, segment.involved_backups)
 
     # Sweep-write: drain the GC cache in the reordered sequence.  The
-    # chunk's current placement names its source container — still correct
-    # here, because repointing happens only when a destination seals, and
-    # every fp belongs to exactly one not-yet-reclaimed source.
+    # chunk's current placement names its source container and size — the
+    # source is still correct here, because repointing happens only when a
+    # destination seals, and every fp belongs to exactly one
+    # not-yet-reclaimed source.
     sequence = order.sequence
+    fps = list(map(ctx.recipes.interner.keys().__getitem__, sequence))
+    located = list(map(ctx.index.placements_map().__getitem__, fps))
+    sizes = [placement.size for placement in located]
+    sources = [placement.container_id for placement in located]
     if not segment.payloads:
-        placements = ctx.index.placements_map()
-        copy_forward.migrate_batch(
-            sequence,
-            [ref.fp for ref in sequence],
-            [ref.size for ref in sequence],
-            [placements[ref.fp].container_id for ref in sequence],
-        )
+        copy_forward.migrate_batch(sequence, fps, sizes, sources)
     else:
-        for ref in sequence:
-            source_id = ctx.index.get(ref.fp).container_id
-            copy_forward.migrate_chunk(ref, segment.payloads.get(ref.fp), source_id)
+        payloads = segment.payloads
+        for chunk_id, fp, size, source_id in zip(sequence, fps, sizes, sources):
+            copy_forward.migrate_chunk(
+                chunk_id, fp, size, payloads.get(fp), source_id
+            )
 
     # Mid-migration abort point: the segment's chunks sit in the (possibly
     # still open) destination, its sources untouched.

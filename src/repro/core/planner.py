@@ -5,7 +5,7 @@ walks the leaf list left to right (for the default ``tree`` packing the tree
 order *is* the container-adaptable packing — §5.4's "binary-tree-assisted
 implementation"), or applies the explicit greedy/random packing for the
 ablation configurations, then flattens clusters into the final reordered
-chunk sequence the sweep writes out.
+chunk-id sequence the sweep writes out.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.config import GCCDFConfig
 from repro.core.clusters import Cluster
 from repro.core.packing import order_clusters
-from repro.model import ChunkRef
 from repro.util.rng import DeterministicRng
 
 
@@ -23,8 +22,8 @@ from repro.util.rng import DeterministicRng
 class MigrationOrder:
     """The Planner's output for one segment."""
 
-    #: Chunks in final write order.
-    sequence: tuple[ChunkRef, ...]
+    #: Interned chunk ids in final write order.
+    sequence: tuple[int, ...]
     #: Cluster count after packing (tree-size/leaf statistics, §5.5).
     num_clusters: int
 
@@ -52,7 +51,7 @@ class Planner:
             num_backups=len(involved_backups),
             rng=self._rng,
         )
-        sequence: list[ChunkRef] = []
+        sequence: list[int] = []
         for cluster in ordered:
-            sequence.extend(cluster.chunks)
+            sequence.extend(cluster.ids)
         return MigrationOrder(sequence=tuple(sequence), num_clusters=len(ordered))

@@ -9,16 +9,16 @@ Bridges the GC mark stage and the Analyzer.  Three tasks, as in Fig. 8:
    small (§5.5 trade-off discussion).
 2. **Identify & cache valid chunks** — read each segment container (this is
    the sweep-read I/O GC would pay anyway), check chunks against the VC
-   table, and keep the valid ones (refs + payloads) in the in-memory
+   table, and keep the valid ones (interned ids + payloads) in the in-memory
    *GC cache*.
 3. **Collect reference information** — union the RRT entries of the
    segment's containers into the segment's *Involved Backups* list, which
    tells the Analyzer which backups' references matter here.
 
 Each segment also carries the partition by-products downstream consumers
-need anyway: the aligned interned-id column of its valid chunks (it feeds
-the Analyzer's exact-membership kernel) and the per-container
-``(invalid_keys, invalid_bytes)`` reclaim data.  Validity is stable for the
+need anyway: the interned-id column of its valid chunks (the Analyzer's
+input) and the per-container ``(invalid_keys, invalid_bytes)`` reclaim
+data.  Validity is stable for the
 duration of one drained GC round — migration relocates index entries
 without removing them, reclaims drop only already-invalid keys, and the VC
 table never changes mid-round — so the sweep reuses these partitions at
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.gc.migration import ContainerPartition, SweepContext, partition
-from repro.model import ChunkRef
 
 
 @dataclass
@@ -43,10 +42,11 @@ class Segment:
 
     index: int
     container_ids: list[int]
-    #: Valid chunks of the segment, in container scan order.
-    valid_chunks: list[ChunkRef] = field(default_factory=list)
-    #: Interned ids aligned with ``valid_chunks``.
+    #: Interned ids of the segment's valid chunks, in container scan order.
     valid_ids: list[int] = field(default_factory=list)
+    #: GC-cache footprint of this segment: the valid chunks' bytes (the sum
+    #: of the partitions' valid size columns).
+    cached_bytes: int = 0
     #: storage key → payload bytes, for chunks that carry payloads.
     payloads: dict[bytes, bytes] = field(default_factory=dict)
     #: Live backups referencing any container of this segment, ascending.
@@ -56,11 +56,6 @@ class Segment:
     #: Per-container reclaim data, in scan order:
     #: ``(container_id, invalid_keys, invalid_bytes)``.
     reclaims: list[tuple[int, list[bytes], int]] = field(default_factory=list)
-
-    @property
-    def cached_bytes(self) -> int:
-        """GC-cache footprint of this segment (valid chunk bytes)."""
-        return sum(chunk.size for chunk in self.valid_chunks)
 
 
 class Preprocessor:
@@ -114,17 +109,17 @@ class Preprocessor:
                 (container_id, part.invalid_keys, part.invalid_bytes)
             )
             owners.update(self.ctx.mark.rrt.get(container_id, ()))
-            if not part.valid:
+            if not part.valid_ids:
                 continue
             # Sweep-read: fetch the container (charged I/O) and cache
             # its valid chunks in memory.
             container = self.ctx.store.read_container(container_id)
-            segment.valid_chunks.extend(part.valid)
             segment.valid_ids.extend(part.valid_ids)
+            segment.cached_bytes += sum(part.valid_sizes)
             if container.has_payloads():
-                for entry in part.valid:
-                    payload = container.payload(entry.fp)
+                for key in part.valid_keys:
+                    payload = container.payload(key)
                     if payload is not None:
-                        segment.payloads[entry.fp] = payload
+                        segment.payloads[key] = payload
         segment.involved_backups = tuple(sorted(owners))
         return segment

@@ -15,14 +15,15 @@ Setting ``dedup_enabled=False`` makes every occurrence a fresh copy — the
 Non-dedup baseline of §3.1 — through the same code path.
 
 Recipes are built as :class:`~repro.index.columnar.ColumnarRecipe` id/size
-columns.  Streams that need no rewriting decisions (``NullRewriting`` —
-Naïve, GCCDF, Non-dedup) take a fused batched kernel: the duplicate majority
-of the stream is classified with two C-level dict probes and two array
-appends per chunk, materialising no ``IngestEntry``/``ChunkRef`` objects and
-paying no policy calls.  Policy-bearing streams offer one ``IngestEntry``
-per chunk to the policy over the same probe sequence; hybrid-mode streams
-classify against the neighbor window and the ingest Bloom filter instead of
-the index (:mod:`repro.dedup.hybrid`).
+columns, and every stored chunk is written to its container under the same
+interned id the recipe records.  Streams that need no rewriting decisions
+(``NullRewriting`` — Naïve, GCCDF, Non-dedup) take a fused batched kernel:
+the duplicate majority of the stream is classified with two C-level dict
+probes and two array appends per chunk, materialising no ``IngestEntry``
+objects and paying no policy calls.  Policy-bearing streams offer one
+``IngestEntry`` per chunk to the policy over the same probe sequence;
+hybrid-mode streams classify against the neighbor window and the ingest
+Bloom filter instead of the index (:mod:`repro.dedup.hybrid`).
 """
 
 from __future__ import annotations
@@ -122,8 +123,7 @@ class IngestPipeline:
         segment decisions (Capping/HAR/SMR) need the full entry — but the
         duplicate probe is the fused ``current``/``placements`` dict pair
         with bulk-flushed statistics (as in :meth:`_ingest_batched`), and
-        accepted entries append interned ids instead of ``ChunkRef``s,
-        which only the miss/rewrite minority materialises.
+        accepted entries append interned ids to the recipe columns.
         """
         backup_id = self.recipes.new_backup_id()
         self.rewriting.begin_backup(backup_id)
@@ -168,9 +168,10 @@ class IngestPipeline:
                 dedup_bytes += entry.size
                 return
             key = new_key(entry.fp)
-            container_id = writer_append(ChunkRef(fp=key, size=entry.size), entry.payload)
+            chunk_id = intern(key)
+            container_id = writer_append(chunk_id, entry.size, key, entry.payload)
             insert(key, container_id, entry.size)
-            ids_append(intern(key))
+            ids_append(chunk_id)
             sizes_append(entry.size)
             stored_bytes += entry.size
             if entry.duplicate:
@@ -326,9 +327,10 @@ class IngestPipeline:
                         del current[fp]
                 # Miss (or dedup disabled): store a fresh copy.
                 key = new_key(fp)
-                container_id = writer_append(ChunkRef(fp=key, size=size), payload)
+                chunk_id = intern(key)
+                container_id = writer_append(chunk_id, size, key, payload)
                 insert(key, container_id, size)
-                ids_append(intern(key))
+                ids_append(chunk_id)
                 sizes_append(size)
                 stored_bytes += size
 
@@ -463,9 +465,10 @@ class IngestPipeline:
                 # index is not probed.  Either way the chunk is stored.
                 maybe_seen = filter_contains(fp)
                 key = new_key(fp)
-                container_id = writer_append(ChunkRef(fp=key, size=size), payload)
+                chunk_id = intern(key)
+                container_id = writer_append(chunk_id, size, key, payload)
                 insert(key, container_id, size)
-                ids_append(intern(key))
+                ids_append(chunk_id)
                 sizes_append(size)
                 stored_bytes += size
                 cur[fp] = key

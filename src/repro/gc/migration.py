@@ -10,9 +10,9 @@ between classic GC and GCCDF — so the engine delegates exactly that to a
 * :class:`repro.core.gccdf.GCCDFMigration` reorders chunks per §4/§5.
 
 Shared mechanics live in :func:`partition` (one pass splits a container's
-entries by validity, returning valid entries, invalid keys, and invalid
-bytes together) and :class:`JournaledCopyForward`, which owns the
-crash-consistent protocol both strategies write through:
+chunks by validity, returning the valid id/key/size columns, invalid keys,
+and invalid bytes together) and :class:`JournaledCopyForward`, which owns
+the crash-consistent protocol both strategies write through:
 
 1. every chunk appended toward a destination container is recorded in an
    open ``copyforward`` intent (fp, source, size) *before* anything else
@@ -30,23 +30,23 @@ reclaim order; deferral is free in the cost model (deletes charge no I/O),
 so an un-faulted sweep performs the byte-identical read/write sequence the
 unjournaled protocol did.
 
-The validity split runs on interned ids.  Every sealed container carries
-an id manifest (parallel ``array('q')`` id/size columns) over the same id
-space as the recipes, so the split is C-level set algebra: the manifest's
-distinct-id set intersects the mark's live-id set, the index-membership
-guard probes the index's placement map per surviving id (skipped while the
-index covers the interner's key domain), and only the unproven minority
-(Bloom-VC false positives, barrier additions) reaches a Python-level probe
-loop.  Entry selection then drives ``itertools.compress`` over the existing
-``ChunkRef`` list — no per-chunk object materialisation.
+The validity split runs on interned ids.  A container *is* its id/size
+columns (``array('q')``, in the recipes' id space), so the split is C-level
+set algebra: the container's distinct-id set intersects the mark's live-id
+set, the index-membership guard probes the index's placement map per
+surviving id (skipped while the index covers the interner's key domain),
+and only the unproven minority (Bloom-VC false positives, barrier
+additions) reaches a Python-level probe loop.  The valid columns are then
+``itertools.compress`` selections of the container's columns, keys read
+from the interner's id → key table.
 
-Strategies hand :meth:`JournaledCopyForward.migrate_batch` whole
-valid-entry columns per source container; the batch splits into
+Strategies hand :meth:`JournaledCopyForward.migrate_batch` whole valid
+id/key/size columns per source container; the batch splits into
 per-destination runs against the remaining capacity (prefix sums + bisect),
 extends the open ``copyforward`` intent's ``moves`` payload once per run,
 and aggregates the per-source counters.  Payload-carrying (byte-level)
 containers go chunk by chunk through
-:meth:`~JournaledCopyForward.migrate_chunk`, which writes the same per-entry
+:meth:`~JournaledCopyForward.migrate_chunk`, which writes the same per-chunk
 move records under the same seal/repoint/reclaim protocol.
 """
 
@@ -63,7 +63,6 @@ from repro.config import SystemConfig
 from repro.gc.mark import MarkResult
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
-from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.container import Container
 from repro.storage.store import ContainerStore
@@ -115,23 +114,21 @@ class MigrationStrategy(Protocol):
 
 
 class ContainerPartition(NamedTuple):
-    """One container's entries split by validity, in entry order.
+    """One container's chunks split by validity, in container order.
 
-    ``valid``/``invalid_keys``/``invalid_bytes`` are the classic triple;
-    the trailing columns feed the batched copy-forward and the GCCDF
-    analyzer without re-deriving keys/sizes/ids per chunk.  They are
-    ``None`` only on fully-valid partitions, which every consumer skips.
+    The aligned valid columns feed the batched copy-forward and the GCCDF
+    Analyzer directly.  They are ``None`` only on fully-valid partitions
+    (``invalid_bytes == 0``), which every consumer skips.
     """
 
-    valid: list[ChunkRef]
+    #: Interned ids of the valid chunks.
+    valid_ids: list[int] | None
+    #: Storage keys of the valid chunks.
+    valid_keys: list[bytes] | None
+    #: Sizes of the valid chunks.
+    valid_sizes: list[int] | None
     invalid_keys: list[bytes]
     invalid_bytes: int
-    #: Storage keys of the valid entries (aligned with ``valid``).
-    valid_keys: list[bytes] | None = None
-    #: Sizes of the valid entries (aligned with ``valid``).
-    valid_sizes: list[int] | None = None
-    #: Interned ids of the valid entries (aligned with ``valid``).
-    valid_ids: list[int] | None = None
 
 
 def partition_members(
@@ -141,9 +138,9 @@ def partition_members(
     mark: MarkResult,
     container_id: int,
 ) -> ContainerPartition:
-    """Split one container's entries by validity (metadata only, no I/O).
+    """Split one container's chunks by validity (metadata only, no I/O).
 
-    One pass computes valid entries, invalid keys, and invalid bytes
+    One pass computes the valid columns, invalid keys, and invalid bytes
     together.  With a Bloom VC table a dead chunk may test valid and be
     retained — safe, never the reverse.
 
@@ -154,9 +151,8 @@ def partition_members(
     container whose keys are absent from the index, so the guard is a
     no-op there.)
 
-    Classification is per *distinct* manifest id — validity is a key
-    property, so every entry of the same key classifies alike — in three
-    tiers:
+    Classification is per *distinct* id — validity is a key property, so
+    every occurrence of the same key classifies alike — in three tiers:
 
     1. ids in the mark's ``live_ids`` are proven VC members (the set was
        built from the live key population; Bloom tables have no false
@@ -166,9 +162,8 @@ def partition_members(
     2. the remaining minority (dead keys, Bloom false positives, barrier
        keys added after the mark) probes the VC table and placement map
        per id;
-    3. entry selection maps the surviving id set over the manifest columns
-       (``map`` + ``compress``), reusing the container's existing
-       ``ChunkRef`` objects.
+    3. selection maps the surviving id set over the container's columns
+       (``map`` + ``compress``).
     """
     container = store.peek(container_id)
     keys = recipes.interner.keys()
@@ -200,31 +195,23 @@ def partition_members(
             survivors.add(chunk_id)
 
     if len(survivors) == len(distinct):
-        # Fully valid (the GS-list majority): alias the entry list
-        # read-only.  Every consumer skips these containers outright
-        # (``invalid_bytes == 0`` means nothing to migrate or reclaim), so
-        # materialising the valid columns here would be pure waste — they
-        # stay ``None``.
-        return ContainerPartition(container.entries, [], 0)
+        # Fully valid (the GS-list majority).  Every consumer skips these
+        # containers outright (``invalid_bytes == 0`` means nothing to
+        # migrate or reclaim), so materialising the valid columns here
+        # would be pure waste.
+        return ContainerPartition(None, None, None, [], 0)
     if not survivors:
         return ContainerPartition(
-            [],
-            list(map(keys.__getitem__, ids)),
-            container.used_bytes,
-            valid_keys=[],
-            valid_sizes=[],
-            valid_ids=[],
+            [], [], [], list(map(keys.__getitem__, ids)), container.used_bytes
         )
     mask = list(map(survivors.__contains__, ids))
-    inverse = list(map(not_, mask))
     valid_sizes = list(compress(sizes, mask))
     return ContainerPartition(
-        list(compress(container.entries, mask)),
-        list(compress(map(keys.__getitem__, ids), inverse)),
+        list(compress(ids, mask)),
+        list(compress(map(keys.__getitem__, ids), mask)),
+        valid_sizes,
+        list(compress(map(keys.__getitem__, ids), map(not_, mask))),
         container.used_bytes - sum(valid_sizes),
-        valid_keys=list(compress(map(keys.__getitem__, ids), mask)),
-        valid_sizes=valid_sizes,
-        valid_ids=list(compress(ids, mask)),
     )
 
 
@@ -265,49 +252,54 @@ class JournaledCopyForward:
         #: Head-of-line blocking keeps ``reclaimed_ids`` in schedule order.
         self._pending: "deque[tuple[int, list[bytes], int]]" = deque()
 
-    def migrate_chunk(self, entry: ChunkRef, payload: bytes | None, source_id: int) -> None:
+    def migrate_chunk(
+        self,
+        chunk_id: int,
+        fp: bytes,
+        size: int,
+        payload: bytes | None,
+        source_id: int,
+    ) -> None:
         """Copy one valid chunk of ``source_id`` toward the open destination."""
-        if entry.fp in self._migrated:
+        if fp in self._migrated:
             # Second physical copy of a key already migrated this round
             # (possible only after a recovered crash left a duplicate at
             # rest): keep the one copy, skip the append.
             return
-        destination = self.writer.append(entry, payload)  # may seal the previous one
+        # May seal the previous destination.
+        destination = self.writer.append(chunk_id, size, fp, payload)
         if self._intent is None:
             self._moves = []
             self._intent = self.journal.begin(
                 "copyforward", destination=destination, moves=self._moves
             )
-        self._moves.append({"fp": entry.fp, "source": source_id, "size": entry.size})
-        self._migrated[entry.fp] = destination
+        self._moves.append({"fp": fp, "source": source_id, "size": size})
+        self._migrated[fp] = destination
         self._outstanding[source_id] = self._outstanding.get(source_id, 0) + 1
         self._valid_counts[source_id] = self._valid_counts.get(source_id, 0) + 1
-        self.result.migrated_bytes += entry.size
+        self.result.migrated_bytes += size
         self.result.migrated_chunks += 1
 
     def migrate_batch(
         self,
-        entries: Sequence[ChunkRef],
+        ids: Sequence[int],
         fps: Sequence[bytes],
         sizes: Sequence[int],
         sources: "int | Sequence[int]",
-        ids: "Sequence[int] | None" = None,
     ) -> None:
         """Copy a payload-free column of valid chunks in one batched pass.
 
-        ``entries``/``fps``/``sizes`` are aligned columns (a container
-        partition's valid columns, or a planner sequence); ``sources`` is
-        the single source container id or a per-entry column of them.
-        ``ids`` is the aligned interned-id column when the caller has one:
-        destination containers then grow their manifest incrementally and
-        skip the seal-time re-interning pass.
+        ``ids``/``fps``/``sizes`` are aligned interned-id, storage-key and
+        size columns (a container partition's valid columns, or a planner
+        sequence); ``sources`` is the single source container id or a
+        per-chunk column of them.
         Semantically identical to a :meth:`migrate_chunk` loop — the same
-        per-entry move records land in the ``copyforward`` intent payload,
+        per-chunk move records land in the ``copyforward`` intent payload,
         the same seal/repoint boundaries fire — but capacity packing, intent
         payload growth, the duplicate guard, and the per-source counters all
         run once per destination *run* instead of once per chunk.
         """
-        n = len(entries)
+        n = len(ids)
         if n == 0:
             return
         migrated = self._migrated
@@ -316,8 +308,8 @@ class JournaledCopyForward:
             # Duplicates in play (a recovered crash left a key at rest
             # twice): fall back to the per-chunk loop and its guard.
             source_column = sources if multi_source else repeat(sources)
-            for entry, source_id in zip(entries, source_column):
-                self.migrate_chunk(entry, None, source_id)
+            for chunk_id, fp, size, source_id in zip(ids, fps, sizes, source_column):
+                self.migrate_chunk(chunk_id, fp, size, None, source_id)
             return
 
         writer = self.writer
@@ -342,17 +334,11 @@ class JournaledCopyForward:
             if stop == start:
                 # A single chunk larger than an empty container: surface
                 # the same ContainerFullError the per-chunk path raises.
-                container.append(entries[start])
-            run_refs = entries[start:stop]
+                container.append(ids[start], sizes[start], fps[start])
             run_fps = fps[start:stop]
             run_sizes = sizes[start:stop]
             run_bytes = prefix[stop - 1] - base
-            container.extend(
-                run_refs,
-                run_bytes,
-                ids=ids[start:stop] if ids is not None else None,
-                sizes=run_sizes,
-            )
+            container.extend(ids[start:stop], run_sizes, run_bytes)
             destination = container.container_id
             if multi_source:
                 run_sources = sources[start:stop]
@@ -454,21 +440,16 @@ def sweep_source(
     engines: read the source if anything survives, copy the valid chunks
     forward (batched, or per chunk with its payload for a byte-level
     container), and schedule the reclaim."""
-    payload_source = ctx.store.read_container(container_id) if part.valid else None
+    payload_source = ctx.store.read_container(container_id) if part.valid_ids else None
     if payload_source is None or not payload_source.has_payloads():
         copy_forward.migrate_batch(
-            part.valid,
-            part.valid_keys,
-            part.valid_sizes,
-            container_id,
-            ids=part.valid_ids,
+            part.valid_ids, part.valid_keys, part.valid_sizes, container_id
         )
     else:
-        for entry in part.valid:
-            payload = (
-                payload_source.payload(entry.fp) if payload_source is not None else None
+        for chunk_id, key, size in zip(part.valid_ids, part.valid_keys, part.valid_sizes):
+            copy_forward.migrate_chunk(
+                chunk_id, key, size, payload_source.payload(key), container_id
             )
-            copy_forward.migrate_chunk(entry, payload, container_id)
     copy_forward.schedule_reclaim(container_id, part.invalid_keys, part.invalid_bytes)
 
 

@@ -91,14 +91,8 @@ class FingerprintIndex:
                 f"cannot relocate unknown fingerprint {fp.hex()[:10]}…"
             ) from None
 
-    def remove(self, fp: bytes) -> None:
-        """Forget an invalid chunk reclaimed by GC."""
-        if fp not in self._entries:
-            raise UnknownChunkError(f"cannot remove unknown fingerprint {fp.hex()[:10]}…")
-        del self._entries[fp]
-
     def discard(self, fp: bytes) -> None:
-        """Forget a chunk if present (idempotent form of :meth:`remove`)."""
+        """Forget a chunk reclaimed by GC, if present (idempotent)."""
         self._entries.pop(fp, None)
 
     def __contains__(self, fp: bytes) -> bool:
@@ -115,11 +109,6 @@ class FingerprintIndex:
         :meth:`lookup` probes into one loop (callers must replicate the
         ``lookups``/``hits`` accounting in bulk and never mutate the map)."""
         return self._entries
-
-    @property
-    def unique_bytes(self) -> int:
-        """Total logical bytes of unique chunks currently indexed."""
-        return sum(p.size for p in self._entries.values())
 
     @property
     def hit_rate(self) -> float:

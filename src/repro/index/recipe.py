@@ -24,8 +24,9 @@ class RecipeStore:
 
     The store also owns the service's :class:`FingerprintInterner` — the
     id space every :class:`~repro.index.columnar.ColumnarRecipe` it holds
-    is encoded against, which is what lets the GC kernels treat recipe ids
-    and container manifest ids as one domain.
+    is encoded against and every container's chunk ids are written in,
+    which is what lets the GC kernels treat recipe and container chunk ids
+    as one domain.
     """
 
     def __init__(self) -> None:

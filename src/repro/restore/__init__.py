@@ -1,7 +1,6 @@
 """Backup restoration with container-granular reads."""
 
 from repro.restore.engine import RestoreEngine
-from repro.restore.assembly import AssemblyRestoreEngine
 from repro.restore.report import RestoreReport
 
-__all__ = ["RestoreEngine", "AssemblyRestoreEngine", "RestoreReport"]
+__all__ = ["RestoreEngine", "RestoreReport"]

@@ -19,34 +19,22 @@ attribute check per container — not per chunk).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import UnknownContainerError
 from repro.faults.journal import IntentJournal
 from repro.simio.disk import DiskModel
 from repro.storage.container import Container
 
-if TYPE_CHECKING:
-    from repro.index.interning import FingerprintInterner
-
 
 class ContainerStore:
-    """Durable map of container id → sealed :class:`Container`.
+    """Durable map of container id → sealed :class:`Container`."""
 
-    ``interner`` is the owning service's fingerprint interner (the recipe
-    store's): every sealed container gets an interned-id manifest over it
-    — parallel ``array('q')`` id/size columns the sweep kernels partition
-    with set algebra, in the same id space as the recipes.
-    """
-
-    def __init__(
-        self, capacity: int, disk: DiskModel, interner: "FingerprintInterner"
-    ):
+    def __init__(self, capacity: int, disk: DiskModel):
         self.capacity = capacity
         self.disk = disk
         self._containers: dict[int, Container] = {}
         self._next_id = 0
-        self._interner = interner
         #: Monotonic counters for auditing GC behaviour.
         self.containers_written = 0
         self.containers_deleted = 0
@@ -82,9 +70,8 @@ class ContainerStore:
         state recovery rolls back.
         """
         container.seal()
-        if not container.entries:
+        if not len(container):
             return  # nothing to persist; id is simply burned
-        container.build_manifest(self._interner)
         intent = self.journal.begin(
             "container.write", container_id=container.container_id
         )
@@ -106,7 +93,7 @@ class ContainerStore:
                 fields={
                     "container_id": container.container_id,
                     "bytes": container.used_bytes,
-                    "chunks": len(container.entries),
+                    "chunks": len(container),
                 },
             )
 
@@ -136,10 +123,6 @@ class ContainerStore:
         container = self._containers.get(container_id)
         if container is None:
             raise UnknownContainerError(f"container {container_id} not in store")
-        if container.chunk_ids is None:
-            # Installed without passing through commit (recovery rebuilds,
-            # hand-seeded state): rehydrate the manifest.
-            container.build_manifest(self._interner)
         return container
 
     def delete_container(self, container_id: int) -> None:

@@ -1,9 +1,11 @@
 """Sequential container writer.
 
 Chunks surviving dedup (and chunks migrated by GC) are appended to an open
-container; when the next chunk would overflow, the container is sealed,
-committed to the store, and a fresh one is opened.  The writer reports each
-chunk's placement so callers can update the fingerprint index.
+container as interned id/size pairs — the id the caller already holds for
+the recipe, so nothing is re-interned at seal time; when the next chunk
+would overflow, the container is sealed, committed to the store, and a fresh
+one is opened.  The writer reports each chunk's placement so callers can
+update the fingerprint index.
 
 Observability: sealing a container through :meth:`ContainerStore.commit`
 emits a ``container.write`` trace event (when the store's disk has an
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.model import ChunkRef
 from repro.storage.container import Container
 from repro.storage.store import ContainerStore
 
@@ -41,13 +42,15 @@ class ContainerWriter:
         self._open: Container | None = None
         self.committed_ids: list[int] = []
 
-    def append(self, ref: ChunkRef, payload: bytes | None = None) -> int:
+    def append(
+        self, chunk_id: int, size: int, key: bytes, payload: bytes | None = None
+    ) -> int:
         """Write one chunk; returns the id of the container it landed in."""
-        if self._open is not None and not self._open.fits(ref.size):
+        if self._open is not None and not self._open.fits(size):
             self._commit_open()
         if self._open is None:
             self._open = self.store.allocate()
-        self._open.append(ref, payload)
+        self._open.append(chunk_id, size, key, payload)
         return self._open.container_id
 
     def open_for(self, size: int) -> Container:
@@ -72,7 +75,7 @@ class ContainerWriter:
         self._open = None
         assert container is not None
         self.store.commit(container)
-        if container.entries:
+        if len(container):
             self.committed_ids.append(container.container_id)
             if self._on_commit is not None:
                 self._on_commit(container)
@@ -80,13 +83,8 @@ class ContainerWriter:
     def flush(self) -> list[int]:
         """Seal any open container; returns ids of all containers committed
         through this writer so far."""
-        if self._open is not None and self._open.entries:
+        if self._open is not None and len(self._open):
             self._commit_open()
         elif self._open is not None:
             self._open = None
         return list(self.committed_ids)
-
-    @property
-    def open_container_id(self) -> int | None:
-        """Id of the currently open (unsealed) container, if any."""
-        return self._open.container_id if self._open is not None else None

@@ -56,8 +56,12 @@ def snapshot(service) -> dict:
         # Container ids are allocated in commit order, so the full layout
         # (id -> ordered (fp, size) entries) pins both the reclaim order
         # and the copy-forward write order, not just the surviving set.
+        keys = service.recipes.interner.keys()
         state["layout"] = {
-            container.container_id: [(e.fp, e.size) for e in container]
+            container.container_id: [
+                (keys[chunk_id], size)
+                for chunk_id, size in zip(container.chunk_ids, container.chunk_sizes)
+            ]
             for container in store.containers()
         }
         state["stored_bytes"] = store.stored_bytes

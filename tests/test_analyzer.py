@@ -1,7 +1,6 @@
 """Unit tests for the GCCDF Analyzer (ownership clustering, §5.3)."""
 
-import pytest
-
+from repro.backup.system import DedupBackupService
 from repro.config import GCCDFConfig
 from repro.core.analyzer import Analyzer, ReferenceChecker
 from repro.dedup.keys import storage_key
@@ -9,11 +8,16 @@ from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 
-from tests.conftest import columnar_recipe
+from tests.conftest import columnar_recipe, refs
 
 
 def key_ref(i: int, size: int = 100) -> ChunkRef:
     return ChunkRef(fp=storage_key(synthetic_fingerprint("an", i)), size=size)
+
+
+def chunk_ids(recipes: RecipeStore, numbers) -> list[int]:
+    """Interned ids (in ``recipes``' id space) of the chunks ``numbers``."""
+    return [recipes.interner.intern(key_ref(i).fp) for i in numbers]
 
 
 def build_recipes(memberships: dict[int, list[int]]) -> RecipeStore:
@@ -71,19 +75,18 @@ class TestAnalyzerClustering:
             }
         )
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        chunks = [key_ref(i) for i in range(1, 10)]
-        clusters = analyzer.cluster(chunks, (alpha, beta, gamma))
-        by_ownership = {c.ownership: sorted(ch.fp for ch in c.chunks) for c in clusters}
-        assert by_ownership[(alpha, beta, gamma)] == sorted(key_ref(i).fp for i in (1, 5, 7))
-        assert by_ownership[(alpha, beta)] == sorted(key_ref(i).fp for i in (2, 4, 8))
-        assert by_ownership[(alpha,)] == sorted(key_ref(i).fp for i in (3, 6, 9))
+        clusters = analyzer.cluster(chunk_ids(recipes, range(1, 10)), (alpha, beta, gamma))
+        by_ownership = {c.ownership: sorted(c.ids) for c in clusters}
+        assert by_ownership[(alpha, beta, gamma)] == sorted(chunk_ids(recipes, (1, 5, 7)))
+        assert by_ownership[(alpha, beta)] == sorted(chunk_ids(recipes, (2, 4, 8)))
+        assert by_ownership[(alpha,)] == sorted(chunk_ids(recipes, (3, 6, 9)))
 
     def test_clusters_ordered_by_recency(self):
         """The first cluster must be the one owned by the newest backups
         (reverse checking order + referenced-goes-left)."""
         recipes = build_recipes({0: [1, 2], 1: [2, 3]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(i) for i in (1, 2, 3)], (0, 1))
+        clusters = analyzer.cluster(chunk_ids(recipes, (1, 2, 3)), (0, 1))
         # Chunk 2 is owned by both; chunk 3 only by backup 1 (newest);
         # chunk 1 only by backup 0.  Order: {0,1}, {1}, {0}.
         assert [c.ownership for c in clusters] == [(0, 1), (1,), (0,)]
@@ -91,16 +94,16 @@ class TestAnalyzerClustering:
     def test_all_chunks_preserved_exactly_once(self):
         recipes = build_recipes({0: [1, 3, 5], 1: [2, 3, 6], 2: [1, 2, 3]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        chunks = [key_ref(i) for i in range(1, 7)]
-        clusters = analyzer.cluster(chunks, (0, 1, 2))
-        flattened = [ch.fp for c in clusters for ch in c.chunks]
-        assert sorted(flattened) == sorted(ch.fp for ch in chunks)
+        ids = chunk_ids(recipes, range(1, 7))
+        clusters = analyzer.cluster(ids, (0, 1, 2))
+        flattened = [i for c in clusters for i in c.ids]
+        assert sorted(flattened) == sorted(ids)
         assert len(flattened) == len(set(flattened))
 
     def test_same_ownership_same_cluster(self):
         recipes = build_recipes({0: [1, 2, 3, 4], 1: [1, 2]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(i) for i in range(1, 5)], (0, 1))
+        clusters = analyzer.cluster(chunk_ids(recipes, range(1, 5)), (0, 1))
         assert len(clusters) == 2  # {0,1} and {0}
 
     def test_empty_input(self):
@@ -112,17 +115,17 @@ class TestAnalyzerClustering:
     def test_no_involved_backups_single_cluster(self):
         recipes = build_recipes({0: [1]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(7), key_ref(8)], ())
+        clusters = analyzer.cluster(chunk_ids(recipes, (7, 8)), ())
         assert len(clusters) == 1
         assert clusters[0].ownership == ()
 
     def test_unreferenced_chunks_form_ownerless_cluster(self):
         recipes = build_recipes({0: [1]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(1), key_ref(99)], (0,))
+        clusters = analyzer.cluster(chunk_ids(recipes, (1, 99)), (0,))
         ownerless = [c for c in clusters if c.ownership == ()]
         assert len(ownerless) == 1
-        assert ownerless[0].chunks == [key_ref(99)]
+        assert ownerless[0].ids == chunk_ids(recipes, (99,))
 
 
 class TestSplitDenial:
@@ -132,7 +135,7 @@ class TestSplitDenial:
         recipes = build_recipes({0: [1], 1: [2]})
         config = exact_config(split_denial_threshold=2)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        clusters = analyzer.cluster([key_ref(1), key_ref(2)], (0, 1))
+        clusters = analyzer.cluster(chunk_ids(recipes, (1, 2)), (0, 1))
         assert len(clusters) == 1
         assert clusters[0].denied
 
@@ -140,7 +143,7 @@ class TestSplitDenial:
         recipes = build_recipes({0: [1], 1: [2]})
         config = exact_config(split_denial_threshold=0)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        clusters = analyzer.cluster([key_ref(1), key_ref(2)], (0, 1))
+        clusters = analyzer.cluster(chunk_ids(recipes, (1, 2)), (0, 1))
         assert len(clusters) == 2
         assert not any(c.denied for c in clusters)
 
@@ -150,8 +153,23 @@ class TestSplitDenial:
         recipes = build_recipes(memberships)
         config = exact_config(split_denial_threshold=4)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        chunks = [key_ref(i) for ids in memberships.values() for i in ids]
-        clusters = analyzer.cluster(chunks, tuple(range(6)))
+        ids = chunk_ids(recipes, [i for owned in memberships.values() for i in owned])
+        clusters = analyzer.cluster(ids, tuple(range(6)))
         assert all(c.num_chunks >= 1 for c in clusters)
         total = sum(c.num_chunks for c in clusters)
-        assert total == len(chunks)
+        assert total == len(ids)
+
+
+class TestMemoryEstimates:
+    """The paper's §5.5 sizing arguments, as executable accounting."""
+
+    def test_tree_estimate_tracks_leaves_and_chunks(self, tiny_config):
+        service = DedupBackupService(config=tiny_config)
+        service.ingest(refs("m", range(16)))
+        service.ingest(refs("m", range(8, 24)))
+        config = exact_config()
+        analyzer = Analyzer(ReferenceChecker(service.recipes, config), config)
+        ids = list(service.recipes.get(0).chunk_ids)
+        clusters = analyzer.cluster(ids, (0, 1))
+        expected = 80 * len(clusters) + 8 * len(ids)
+        assert analyzer.estimated_tree_bytes() == expected

@@ -82,11 +82,10 @@ class TestSharedCacheAcrossGC:
         assert all(cid not in cache for cid in reclaimed)
 
         restored = {
-            entry.fp for cid in live_ids for entry in cache.get(cid)
+            chunk_id for cid in live_ids for chunk_id in cache.get(cid).chunk_ids
         }
         for backup_id in service.live_backup_ids():
-            recipe_fps = {entry.fp for entry in service.recipes.get(backup_id).entries}
-            assert recipe_fps <= restored
+            assert service.recipes.get(backup_id).unique_ids() <= restored
 
 
 class TestDeleteOldest:

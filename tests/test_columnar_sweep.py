@@ -1,6 +1,6 @@
 """Sweep-engine equivalence and the substrate it runs on.
 
-The sweep kernels — manifest-backed validity partitioning,
+The sweep kernels — column-backed validity partitioning,
 ``migrate_batch`` copy-forward runs, ``lookup_many``/``relocate_many`` bulk
 index probes — are driven by two engines: stop-the-world
 (:class:`~repro.gc.engine.MarkSweepGC`) and budgeted incremental
@@ -12,9 +12,9 @@ bytes, same index contents and probe counters, same GC reports.  A
 property test drives both engines through randomized ingest/delete/GC
 sequences across every approach and GCCDF's Bloom ablation (the fixed
 cells of ``tests/test_end_state_digests.py`` pin the same snapshot against
-the frozen tuple-recipe oracle); unit tests pin the container manifest
-(build, incremental maintenance, desync rebuild, rehydration) and the bulk
-index kernels' counter/error parity.
+the frozen tuple-recipe oracle); unit tests pin the container's id/size
+columns (per-chunk appends, batched runs, the seal-time distinct-id set)
+and the bulk index kernels' counter/error parity.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from repro.gc.incremental import GCBudget
 from repro.gc.migration import JournaledCopyForward
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
+from repro.simio.disk import DiskModel
 from repro.storage.container import Container
+from repro.storage.store import ContainerStore
 from repro.util.rng import DeterministicRng
 
 from tests.conftest import refs
@@ -111,120 +112,115 @@ def test_sweep_end_state_matches_across_engines(ops, approach, bloom_fp_rate):
 
 
 # ---------------------------------------------------------------------------
-# Container manifest: build, incremental maintenance, desync, rehydration
+# Container columns: write-time appends, batched runs, seal-time id set
 # ---------------------------------------------------------------------------
 
 
-def _ref(i: int, size: int = 100) -> ChunkRef:
-    return ChunkRef(fp=synthetic_fingerprint("manifest", i), size=size)
+def _key(i: int) -> bytes:
+    return synthetic_fingerprint("columns", i)
 
 
-class TestManifest:
-    def test_build_manifest_columns_parallel_entries(self):
+class TestContainerColumns:
+    def test_append_builds_parallel_id_size_columns(self):
         container = Container(container_id=0, capacity=4096)
-        chunks = [_ref(i) for i in (0, 1, 2, 1, 0)]
-        for ref in chunks:
-            container.append(ref)
+        assert list(container.chunk_ids) == list(container.chunk_sizes) == []
+        chunks = [(0, 100), (1, 60), (2, 100), (1, 60), (0, 100)]
+        for chunk_id, size in chunks:
+            container.append(chunk_id, size, _key(chunk_id))
+        assert list(container.chunk_ids) == [i for i, _ in chunks]
+        assert list(container.chunk_sizes) == [size for _, size in chunks]
+        assert container.used_bytes == sum(container.chunk_sizes)
+        assert len(container) == len(chunks)
+
+    def test_extend_matches_per_chunk_append(self):
+        ids = list(range(6))
+        sizes = [100 + i for i in ids]
+
+        batched = Container(container_id=0, capacity=4096)
+        batched.extend(ids[:4], sizes[:4], sum(sizes[:4]))
+        batched.extend(ids[4:], sizes[4:], sum(sizes[4:]))
+        batched.seal()
+
+        per_chunk = Container(container_id=1, capacity=4096)
+        for chunk_id, size in zip(ids, sizes):
+            per_chunk.append(chunk_id, size, _key(chunk_id))
+        per_chunk.seal()
+
+        assert list(batched.chunk_ids) == list(per_chunk.chunk_ids)
+        assert list(batched.chunk_sizes) == list(per_chunk.chunk_sizes)
+        assert batched.used_bytes == per_chunk.used_bytes
+        assert batched.distinct_ids() == per_chunk.distinct_ids()
+
+    def test_interleaved_append_and_extend_stay_aligned(self):
+        container = Container(container_id=0, capacity=4096)
+        container.extend([0, 1], [100, 100], 200)
+        container.append(2, 50, _key(2), payload=b"x" * 50)
+        container.extend([3, 4], [100, 100], 200)
+        assert list(container.chunk_ids) == [0, 1, 2, 3, 4]
+        assert list(container.chunk_sizes) == [100, 100, 50, 100, 100]
+        assert container.payload(_key(2)) == b"x" * 50
         container.seal()
-        interner = FingerprintInterner()
-        container.build_manifest(interner)
-        assert list(container.chunk_ids) == [
-            interner.id_of(ref.fp) for ref in chunks
-        ]
-        assert list(container.chunk_sizes) == [ref.size for ref in chunks]
-        assert container.distinct_ids() == frozenset(container.chunk_ids)
-        assert container.distinct_ids() is container.distinct_ids()  # cached
-        # Rebuilding is idempotent (commit + later peek both call it).
-        ids_before = container.chunk_ids
-        container.build_manifest(interner)
-        assert container.chunk_ids is ids_before
+        assert container.distinct_ids() == frozenset(range(5))
 
-    def test_incremental_extend_matches_seal_time_build(self):
-        interner = FingerprintInterner()
-        chunks = [_ref(i) for i in range(6)]
-        ids = [interner.intern(ref.fp) for ref in chunks]
-
-        incremental = Container(container_id=0, capacity=4096)
-        incremental.extend(chunks[:4], 400, ids=ids[:4], sizes=[100] * 4)
-        incremental.extend(chunks[4:], 200, ids=ids[4:], sizes=[100] * 2)
-        incremental.seal()
-        columns_before = incremental.chunk_ids
-        incremental.build_manifest(interner)  # must be the cheap no-op path
-        assert incremental.chunk_ids is columns_before
-
-        from_scratch = Container(container_id=1, capacity=4096)
-        from_scratch.extend(chunks, 600)
-        from_scratch.seal()
-        from_scratch.build_manifest(interner)
-
-        assert list(incremental.chunk_ids) == list(from_scratch.chunk_ids)
-        assert list(incremental.chunk_sizes) == list(from_scratch.chunk_sizes)
-        assert incremental.distinct_ids() == from_scratch.distinct_ids()
-
-    def test_extend_defaults_sizes_from_refs(self):
-        interner = FingerprintInterner()
-        chunks = [_ref(i, size=50 + i) for i in range(3)]
-        ids = [interner.intern(ref.fp) for ref in chunks]
-        container = Container(container_id=0, capacity=4096)
-        container.extend(chunks, sum(r.size for r in chunks), ids=ids)
-        assert list(container.chunk_sizes) == [ref.size for ref in chunks]
-
-    def test_interleaved_append_desyncs_and_rebuild_recovers(self):
-        interner = FingerprintInterner()
-        chunks = [_ref(i) for i in range(5)]
-        ids = [interner.intern(ref.fp) for ref in chunks]
-        container = Container(container_id=0, capacity=4096)
-        container.extend(chunks[:2], 200, ids=ids[:2], sizes=[100, 100])
-        container.append(chunks[2])  # per-chunk path: no id carried
-        assert len(container.chunk_ids) != len(container.entries)  # desynced
-        # Further id-carrying batches must NOT extend a desynced manifest
-        # (that would silently misalign the columns).
-        container.extend(chunks[3:], 200, ids=ids[3:], sizes=[100, 100])
-        assert len(container.chunk_ids) == 2
-        container.seal()
-        container.build_manifest(interner)  # length check -> full rebuild
-        assert list(container.chunk_ids) == ids
-        assert container.distinct_ids() == frozenset(ids)
-
-    def test_manifest_absent_without_ids(self):
-        container = Container(container_id=0, capacity=4096)
-        container.extend([_ref(0)], 100)
-        assert container.chunk_ids is None
-        with pytest.raises(TypeError):
-            container.distinct_ids()
-
-    def test_commit_builds_manifest_and_peek_rehydrates(self):
-        from repro.simio.disk import DiskModel
-        from repro.storage.store import ContainerStore
-
+    def test_commit_seals_distinct_ids_before_gc(self):
+        """The store's commit seals the container, which builds the
+        distinct-id set on the write path; ``peek`` returns it as is."""
         config = make_config()
-        interner = FingerprintInterner()
-        store = ContainerStore(config.container_size, DiskModel(config.disk), interner)
-
+        store = ContainerStore(config.container_size, DiskModel(config.disk))
         container = store.allocate()
-        chunks = [_ref(i) for i in range(4)]
-        for ref in chunks:
-            container.append(ref)
+        for chunk_id in (3, 1, 3, 2):
+            container.append(chunk_id, 100, _key(chunk_id))
+        assert container.distinct_ids() is None
         store.commit(container)
         sealed = store.peek(container.container_id)
-        assert sealed.chunk_ids is not None
-        assert [interner.key_of(i) for i in sealed.chunk_ids] == [
-            ref.fp for ref in chunks
-        ]
+        assert sealed is container and sealed.sealed
+        assert sealed.distinct_ids() == frozenset({1, 2, 3})
+        assert sealed.distinct_ids() is sealed.distinct_ids()  # built once
 
-        # A container installed without passing through commit (recovery
-        # rebuilds, hand-seeded state) gets its manifest lazily on peek.
-        bare = Container(container_id=99, capacity=config.container_size)
-        for ref in chunks:
-            bare.append(ref)
-        bare.seal()
-        store._containers[bare.container_id] = bare
-        assert bare.chunk_ids is None
-        rehydrated = store.peek(bare.container_id)
-        assert rehydrated is bare
-        assert list(rehydrated.chunk_ids) == [
-            interner.id_of(ref.fp) for ref in chunks
-        ]
+
+# ---------------------------------------------------------------------------
+# No ChunkRef on the payload-free ingest -> GC path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dedup_mode", ["inline", "hybrid"])
+@pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
+@pytest.mark.parametrize("approach", ["naive", "gccdf"])
+def test_ingest_and_gc_build_no_chunk_refs(approach, gc_mode, dedup_mode, monkeypatch):
+    """Ingest of pre-built payload-free streams and every GC stage (mark,
+    partition, GCCDF analyze/plan, copy-forward, hybrid rededup) run on
+    interned id/size columns: constructing a ``ChunkRef`` anywhere on that
+    path fails the run."""
+    streams = [
+        refs("no-refs", [i for i in range(g * 5, g * 5 + 60) if i % (2 + g % 3)])
+        for g in range(6)
+    ]
+    service = make_service(
+        approach,
+        config=make_config(),
+        options=ServiceOptions(
+            gc_mode=gc_mode, gc_budget=SMALL_BUDGET, dedup_mode=dedup_mode
+        ),
+    )
+
+    def forbidden(self):
+        raise AssertionError("ChunkRef built on the ingest/GC path")
+
+    monkeypatch.setattr(ChunkRef, "__post_init__", forbidden)
+    for generation, stream in enumerate(streams):
+        service.ingest(stream, source="a")
+        # The mirrored copy misses the hybrid neighbor window: deferrals.
+        service.ingest(stream, source="b")
+        if generation >= 2:
+            service.delete_oldest(2)
+            service.run_gc()
+    monkeypatch.undo()
+
+    reports = service.gc_history
+    assert sum(r.migrated_chunks for r in reports) > 0  # copy-forward ran
+    if dedup_mode == "hybrid":
+        assert service.hybrid.coalesced > 0  # ... and so did rededup
+    assert verify_service(service).errors == []
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +330,9 @@ def test_byte_level_rotation_preserves_payloads(approach, monkeypatch):
     payload_moves = []
     migrate_chunk = JournaledCopyForward.migrate_chunk
 
-    def spy(self, entry, payload, source_id):
+    def spy(self, chunk_id, fp, size, payload, source_id):
         payload_moves.append(payload is not None)
-        return migrate_chunk(self, entry, payload, source_id)
+        return migrate_chunk(self, chunk_id, fp, size, payload, source_id)
 
     monkeypatch.setattr(JournaledCopyForward, "migrate_chunk", spy)
 

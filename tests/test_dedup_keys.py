@@ -79,7 +79,7 @@ class TestLogicalIndex:
         logical = LogicalIndex(physical)
         key = logical.new_key(fp(1))
         physical.insert(key, container_id=3, size=10)
-        physical.remove(key)  # GC reclaimed the copy
+        physical.discard(key)  # GC reclaimed the copy
         assert logical.lookup(fp(1)) is None
         # The stale entry is dropped, so a re-store restarts at generation 0.
         assert key_generation(logical.new_key(fp(1))) == 0

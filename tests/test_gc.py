@@ -87,6 +87,17 @@ class TestMarkStage:
         MarkStage(service.config, service.index, service.recipes, service.disk).run()
         assert service.disk.stats.read_bytes > before
 
+    def test_rrt_estimate_scales_with_referencers(self, service):
+        """The paper's §5.5 RRT sizing argument, as executable accounting."""
+        first = service.ingest(refs("m", range(16)))
+        service.ingest(refs("m", range(0, 16, 2)))
+        service.delete_backup(first.backup_id)
+        mark = MarkStage(service.config, service.index, service.recipes, service.disk).run()
+        estimate = mark.rrt_bytes_estimate()
+        assert estimate > 0
+        # 16-byte header + 8 bytes per referencing backup, per GS container.
+        assert estimate == sum(16 + 8 * len(b) for b in mark.rrt.values())
+
 
 class TestNaiveGC:
     def test_gc_without_deletions_is_noop(self, service):

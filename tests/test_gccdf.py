@@ -15,13 +15,10 @@ from repro.core.gccdf import GCCDFMigration
 from repro.core.planner import Planner
 from repro.core.preprocessor import Preprocessor
 from repro.core.clusters import Cluster
-from repro.dedup.keys import storage_key
 from repro.gc.mark import MarkStage
 from repro.gc.migration import SweepContext
 from repro.hashing.bloom import BloomFilter
-from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.columnar import ColumnarRecipe
-from repro.model import ChunkRef
 from repro.obs import TraceRecorder
 
 from tests.conftest import refs
@@ -71,9 +68,7 @@ class TestPreprocessor:
         second = service.ingest(refs("p", range(0, 16, 2)))
         service.delete_backup(first.backup_id)
         (segment,) = Preprocessor(sweep_context(service)).segments()
-        valid_keys = {c.fp for c in segment.valid_chunks}
-        live_keys = {e.fp for e in service.recipes.get(second.backup_id).entries}
-        assert valid_keys == live_keys
+        assert set(segment.valid_ids) == service.recipes.get(second.backup_id).unique_ids()
         assert segment.involved_backups == (second.backup_id,)
         assert segment.invalid_bytes == 8 * 512
 
@@ -90,21 +85,13 @@ class TestPreprocessor:
 
 class TestPlanner:
     def _cluster(self, owners, ids):
-        return Cluster(
-            ownership=tuple(owners),
-            chunks=[
-                ChunkRef(fp=storage_key(synthetic_fingerprint("pl", i)), size=10)
-                for i in ids
-            ],
-        )
+        return Cluster(ownership=tuple(owners), ids=list(ids))
 
     def test_flattens_in_cluster_order(self):
         planner = Planner(GCCDFConfig(packing="tree"))
         clusters = [self._cluster([1, 2], [1, 2]), self._cluster([1], [3])]
         order = planner.plan(clusters, (1, 2))
-        assert [c.fp for c in order.sequence] == [
-            storage_key(synthetic_fingerprint("pl", i)) for i in (1, 2, 3)
-        ]
+        assert order.sequence == (1, 2, 3)
         assert order.num_clusters == 2
         assert order.num_chunks == 3
 
@@ -113,7 +100,7 @@ class TestPlanner:
         clusters = [self._cluster([1], [3]), self._cluster([1, 2], [1, 2])]
         order = planner.plan(clusters, (1, 2))
         # Largest ownership first under greedy packing.
-        assert order.sequence[0].fp == storage_key(synthetic_fingerprint("pl", 1))
+        assert order.sequence[0] == 1
 
 
 class TestGCCDFMigration:
@@ -259,8 +246,9 @@ class TestParallelSegments:
             keep = service.ingest(refs("p", range(0, 64, 2)))
             service.delete_backup(first.backup_id)
             service.run_gc()
+            keys = service.recipes.interner.keys()
             layouts[workers] = [
-                tuple(e.fp for e in c.entries) for c in service.store.containers()
+                tuple(keys[i] for i in c.chunk_ids) for c in service.store.containers()
             ]
         assert layouts[1] == layouts[4]
 

@@ -47,16 +47,6 @@ class TestFingerprintIndex:
         with pytest.raises(UnknownChunkError):
             FingerprintIndex().relocate(fp(1), 3)
 
-    def test_remove(self):
-        index = FingerprintIndex()
-        index.insert(fp(1), 1, 10)
-        index.remove(fp(1))
-        assert fp(1) not in index
-
-    def test_remove_unknown_raises(self):
-        with pytest.raises(UnknownChunkError):
-            FingerprintIndex().remove(fp(1))
-
     def test_discard_is_idempotent(self):
         index = FingerprintIndex()
         index.discard(fp(1))  # no error
@@ -71,12 +61,6 @@ class TestFingerprintIndex:
         index.lookup(fp(1))
         index.lookup(fp(2))
         assert index.hit_rate == pytest.approx(0.5)
-
-    def test_unique_bytes(self):
-        index = FingerprintIndex()
-        index.insert(fp(1), 1, 10)
-        index.insert(fp(2), 1, 30)
-        assert index.unique_bytes == 40
 
 
 def make_recipe(store: RecipeStore, ids, source="src") -> ColumnarRecipe:

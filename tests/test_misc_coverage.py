@@ -5,8 +5,6 @@ import pytest
 from repro.analysis.layout import render_layout
 from repro.backup.system import DedupBackupService
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.interning import FingerprintInterner
-from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.container import Container
 from repro.storage.store import ContainerStore
@@ -17,9 +15,9 @@ from tests.conftest import refs
 class TestContainerExtras:
     def test_has_payloads(self):
         container = Container(0, 4096)
-        container.append(ChunkRef(synthetic_fingerprint("x", 1), 100))
+        container.append(1, 100, synthetic_fingerprint("x", 1))
         assert not container.has_payloads()
-        container.append(ChunkRef(synthetic_fingerprint("x", 2), 100), payload=b"abc")
+        container.append(2, 100, synthetic_fingerprint("x", 2), payload=b"abc")
         assert container.has_payloads()
 
     def test_repr_states(self):
@@ -37,12 +35,11 @@ class TestContainerExtras:
 
 class TestStoreIteration:
     def test_ids_and_containers_sorted(self):
-        store = ContainerStore(
-            capacity=1024, disk=DiskModel(), interner=FingerprintInterner()
-        )
+        store = ContainerStore(capacity=1024, disk=DiskModel())
         allocated = [store.allocate() for _ in range(3)]
         for container in reversed(allocated):
-            container.append(ChunkRef(synthetic_fingerprint("s", container.container_id), 10))
+            cid = container.container_id
+            container.append(cid, 10, synthetic_fingerprint("s", cid))
             store.commit(container)
         assert list(store.ids()) == [0, 1, 2]
         assert [c.container_id for c in store.containers()] == [0, 1, 2]

@@ -10,21 +10,14 @@ from repro.core.packing import (
     ownership_similarity,
     random_pack,
 )
-from repro.dedup.keys import storage_key
 from repro.errors import ConfigError
-from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.model import ChunkRef
 from repro.util.rng import DeterministicRng
 
 
 def cluster(owners, n_chunks=2) -> Cluster:
     base = hash(tuple(owners)) & 0xFFFF
     return Cluster(
-        ownership=tuple(owners),
-        chunks=[
-            ChunkRef(fp=storage_key(synthetic_fingerprint("pk", base * 100 + i)), size=10)
-            for i in range(n_chunks)
-        ],
+        ownership=tuple(owners), ids=[base * 100 + i for i in range(n_chunks)]
     )
 
 

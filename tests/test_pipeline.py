@@ -16,7 +16,7 @@ from tests.conftest import refs
 @pytest.fixture
 def parts():
     recipes = RecipeStore()
-    store = ContainerStore(capacity=4096, disk=DiskModel(), interner=recipes.interner)
+    store = ContainerStore(capacity=4096, disk=DiskModel())
     index = FingerprintIndex()
     return store, index, recipes
 

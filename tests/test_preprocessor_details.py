@@ -35,8 +35,11 @@ def prepared_service(tiny_config, segment_size=2):
 class TestSegmentProperties:
     def test_cached_bytes_equals_valid_chunk_sum(self, tiny_config):
         service = prepared_service(tiny_config)
+        keys = service.recipes.interner.keys()
         for segment in Preprocessor(sweep_context(service)).segments():
-            assert segment.cached_bytes == sum(c.size for c in segment.valid_chunks)
+            assert segment.cached_bytes == sum(
+                service.index.get(keys[i]).size for i in segment.valid_ids
+            )
 
     def test_gc_cache_bounded_by_segment_geometry(self, tiny_config):
         """§5.2: the GC cache holds at most segment_size containers' bytes."""
@@ -80,7 +83,9 @@ class TestSegmentProperties:
         service.delete_backup(first.backup_id)
         segments = list(Preprocessor(sweep_context(service)).segments())
         assert any(segment.payloads for segment in segments)
+        keys = service.recipes.interner.keys()
         for segment in segments:
-            for ref in segment.valid_chunks:
-                if ref.fp in segment.payloads:
-                    assert len(segment.payloads[ref.fp]) == ref.size
+            for chunk_id in segment.valid_ids:
+                key = keys[chunk_id]
+                if key in segment.payloads:
+                    assert len(segment.payloads[key]) == service.index.get(key).size

@@ -1,5 +1,7 @@
 """Property-based tests for the Analyzer's clustering and the packing."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GCCDFConfig
@@ -52,17 +54,17 @@ def build(world):
         )
     config = GCCDFConfig(exact_reference_check=True, split_denial_threshold=0)
     analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-    chunks = [key_ref(i) for i in range(m)]
-    clusters = analyzer.cluster(chunks, tuple(range(n)))
-    return n, m, memberships, chunks, clusters
+    ids = [recipes.interner.intern(key_ref(i).fp) for i in range(m)]
+    clusters = analyzer.cluster(ids, tuple(range(n)))
+    return n, m, memberships, ids, clusters
 
 
 @given(worlds)
 @settings(max_examples=80, deadline=None)
 def test_clusters_partition_the_chunks(world):
-    _, m, _, chunks, clusters = build(world)
-    flattened = [c.fp for cluster in clusters for c in cluster.chunks]
-    assert sorted(flattened) == sorted(c.fp for c in chunks)
+    _, m, _, ids, clusters = build(world)
+    flattened = [i for cluster in clusters for i in cluster.ids]
+    assert sorted(flattened) == sorted(ids)
     assert len(flattened) == len(set(flattened)) == m
 
 
@@ -71,16 +73,15 @@ def test_clusters_partition_the_chunks(world):
 def test_cluster_ownership_is_exact(world):
     """Every cluster's ownership equals the true referencing-backup set of
     each of its chunks (no denial, exact checking)."""
-    n, _, memberships, _, clusters = build(world)
+    n, _, memberships, ids, clusters = build(world)
     true_owner = {}
     for backup_id in range(n):
         for i in memberships[backup_id]:
             true_owner.setdefault(i, set()).add(backup_id)
-    fp_to_id = {key_ref(i).fp: i for i in range(30)}
+    number = {chunk_id: i for i, chunk_id in enumerate(ids)}
     for cluster in clusters:
-        for chunk in cluster.chunks:
-            chunk_id = fp_to_id[chunk.fp]
-            assert set(cluster.ownership) == true_owner.get(chunk_id, set())
+        for chunk_id in cluster.ids:
+            assert set(cluster.ownership) == true_owner.get(number[chunk_id], set())
 
 
 @given(worlds)
@@ -99,10 +100,11 @@ def test_distinct_clusters_have_distinct_ownership(world):
 )
 @settings(max_examples=150, deadline=None)
 def test_id_kernel_matches_predicate_path(world, threshold, order, involved):
-    """Set algebra over interned ids ≡ one predicate probe per chunk: same
-    clusters in the same order (owners, chunks, denial) and the same probe
-    and build accounting, on any segment — shuffled, with repeated chunks,
-    with chunks no involved backup references."""
+    """Set algebra over interned ids ≡ one predicate probe per chunk (the
+    Bloom ablation's path, here answered by the checker's exact key
+    predicate): same clusters in the same order (owners, chunks, denial)
+    and the same probe and build accounting, on any segment — shuffled,
+    with repeated chunks, with chunks no involved backup references."""
     n, m, memberships = world
     recipes = RecipeStore()
     intern = recipes.interner.intern
@@ -115,20 +117,22 @@ def test_id_kernel_matches_predicate_path(world, threshold, order, involved):
     order.shuffle(chunks)
     ids = [intern(ref.fp) for ref in chunks]
     involved = tuple(sorted(b for b in involved if b < n))
-    config = GCCDFConfig(split_denial_threshold=threshold)
+    config = GCCDFConfig(exact_reference_check=True, split_denial_threshold=threshold)
 
-    def run(valid_ids):
+    def run(analyzer_config):
         checker = ReferenceChecker(recipes, config)
-        analyzer = Analyzer(checker, config)
-        clusters = analyzer.cluster(chunks, involved, valid_ids=valid_ids)
+        analyzer = Analyzer(checker, analyzer_config)
+        clusters = analyzer.cluster(ids, involved)
         return (
-            [(c.ownership, c.chunks, c.denied) for c in clusters],
+            [(c.ownership, c.ids, c.denied) for c in clusters],
             (analyzer.last_probe_count, analyzer.last_leaf_count, checker.build_ops),
             checker.filters_built,
         )
 
-    by_id, by_id_counts, by_id_built = run(ids)
-    by_key, by_key_counts, by_key_built = run(None)
+    by_id, by_id_counts, by_id_built = run(config)
+    by_key, by_key_counts, by_key_built = run(
+        replace(config, exact_reference_check=False)
+    )
     assert by_id == by_key
     assert by_id_counts == by_key_counts
     # Each run took the path it was meant to exercise.
@@ -175,7 +179,7 @@ ownerships_strategy = st.lists(
 @given(ownerships_strategy)
 @settings(max_examples=80)
 def test_greedy_pack_is_permutation(ownerships):
-    clusters = [Cluster(ownership=o, chunks=[key_ref(i)]) for i, o in enumerate(ownerships)]
+    clusters = [Cluster(ownership=o, ids=[i]) for i, o in enumerate(ownerships)]
     ordered = greedy_pack(clusters, num_backups=9)
     assert sorted(id(c) for c in ordered) == sorted(id(c) for c in clusters)
 
@@ -194,7 +198,7 @@ def test_greedy_pack_is_permutation(ownerships):
 @settings(max_examples=300)
 def test_greedy_pack_matches_frozen_reference(specs):
     clusters = [
-        Cluster(ownership=tuple(sorted(owners)), chunks=[key_ref(i)] * size)
+        Cluster(ownership=tuple(sorted(owners)), ids=[i] * size)
         for i, (owners, size) in enumerate(specs)
     ]
     ordered = greedy_pack(list(clusters), num_backups=5)
@@ -207,7 +211,7 @@ def test_greedy_pack_matches_frozen_reference(specs):
 def test_greedy_pack_starts_with_max_ownership(ownerships):
     if not ownerships:
         return
-    clusters = [Cluster(ownership=o, chunks=[key_ref(i)]) for i, o in enumerate(ownerships)]
+    clusters = [Cluster(ownership=o, ids=[i]) for i, o in enumerate(ownerships)]
     ordered = greedy_pack(clusters, num_backups=9)
     assert len(ordered[0].ownership) == max(len(o) for o in ownerships)
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backup.system import DedupBackupService
 from repro.config import ChunkingConfig, RetentionConfig, SystemConfig
-from repro.restore.assembly import AssemblyRestoreEngine
 from repro.restore.engine import RestoreEngine
 
 from tests.conftest import refs
@@ -58,23 +57,6 @@ def test_bounded_lru_never_beats_read_once(plans):
         read_once = service.restore(backup_id)
         pressured = bounded.restore(backup_id)
         assert pressured.container_bytes_read >= read_once.container_bytes_read
-
-
-@given(backup_plans, st.integers(min_value=1, max_value=64))
-@settings(max_examples=50, deadline=None)
-def test_faa_never_beats_read_once(plans, area_chunks):
-    service = make_service()
-    last = ingest_all(service, plans)
-    faa = AssemblyRestoreEngine(
-        service.store,
-        service.index,
-        service.recipes,
-        service.disk,
-        assembly_bytes=area_chunks * 512,
-    )
-    read_once = service.restore(last.backup_id)
-    assembled = faa.restore(last.backup_id)
-    assert assembled.container_bytes_read >= read_once.container_bytes_read
 
 
 @given(backup_plans)

@@ -6,9 +6,7 @@ from repro.errors import SimulatedCrash
 from repro.faults import FaultPlan, recover
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.interning import FingerprintInterner
 from repro.index.recipe import RecipeStore
-from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
 from repro.storage.writer import ContainerWriter
@@ -21,14 +19,14 @@ chunk_sizes = st.lists(
 
 
 def write_all(sizes):
-    store = ContainerStore(
-        capacity=CAPACITY, disk=DiskModel(), interner=FingerprintInterner()
-    )
+    """Write chunk ids 0, 1, ... with the given sizes; returns the store and
+    ``(chunk_id, container_id)`` placements in append order."""
+    store = ContainerStore(capacity=CAPACITY, disk=DiskModel())
     writer = ContainerWriter(store)
     placements = []
-    for index, size in enumerate(sizes):
-        ref = ChunkRef(fp=synthetic_fingerprint("ps", index), size=size)
-        placements.append((ref, writer.append(ref)))
+    for chunk_id, size in enumerate(sizes):
+        key = synthetic_fingerprint("ps", chunk_id)
+        placements.append((chunk_id, writer.append(chunk_id, size, key)))
     writer.flush()
     return store, placements
 
@@ -44,8 +42,8 @@ def test_no_container_exceeds_capacity(sizes):
 @settings(max_examples=80)
 def test_every_chunk_lands_where_reported(sizes):
     store, placements = write_all(sizes)
-    for ref, container_id in placements:
-        assert ref.fp in store.peek(container_id).fingerprints()
+    for chunk_id, container_id in placements:
+        assert chunk_id in store.peek(container_id).distinct_ids()
 
 
 @given(chunk_sizes)
@@ -60,8 +58,8 @@ def test_total_bytes_conserved(sizes):
 def test_stream_order_preserved_within_and_across_containers(sizes):
     """Reading containers in id order replays the append order exactly."""
     store, placements = write_all(sizes)
-    replayed = [entry.fp for container in store.containers() for entry in container]
-    assert replayed == [ref.fp for ref, _ in placements]
+    replayed = [i for container in store.containers() for i in container.chunk_ids]
+    assert replayed == [chunk_id for chunk_id, _ in placements]
 
 
 @given(chunk_sizes, st.integers(min_value=1, max_value=6))
@@ -71,26 +69,25 @@ def test_torn_write_recovery_keeps_durable_prefix(sizes, occurrence):
     the store holds exactly the durable prefix of the append order, every
     retained container is intact, and the journal is empty."""
     disk = DiskModel(faults=FaultPlan.single("store.commit.torn", occurrence))
-    store = ContainerStore(capacity=CAPACITY, disk=disk, interner=FingerprintInterner())
+    store = ContainerStore(capacity=CAPACITY, disk=disk)
     writer = ContainerWriter(store)
     appended = []
     crashed = False
     try:
-        for index, size in enumerate(sizes):
-            ref = ChunkRef(fp=synthetic_fingerprint("pf", index), size=size)
-            writer.append(ref)
-            appended.append(ref)
+        for chunk_id, size in enumerate(sizes):
+            writer.append(chunk_id, size, synthetic_fingerprint("pf", chunk_id))
+            appended.append(chunk_id)
         writer.flush()
     except SimulatedCrash:
         crashed = True
         recover(store, FingerprintIndex(), RecipeStore())
 
     assert len(store.journal) == 0
-    replayed = [entry.fp for container in store.containers() for entry in container]
-    assert replayed == [ref.fp for ref in appended[: len(replayed)]]
+    replayed = [i for container in store.containers() for i in container.chunk_ids]
+    assert replayed == appended[: len(replayed)]
     assert all(c.used_bytes <= CAPACITY for c in store.containers())
     if not crashed:
-        assert replayed == [ref.fp for ref in appended]
+        assert replayed == appended
 
 
 @given(chunk_sizes)
@@ -102,6 +99,6 @@ def test_packing_is_first_fit_dense(sizes):
     store, _ = write_all(sizes)
     containers = list(store.containers())
     for current, following in zip(containers, containers[1:]):
-        if following.entries:
-            first_next = following.entries[0].size
+        if len(following):
+            first_next = following.chunk_sizes[0]
             assert current.used_bytes + first_next > CAPACITY

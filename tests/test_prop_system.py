@@ -15,6 +15,7 @@ from repro.core.gccdf import GCCDFMigration
 from repro.dedup.keys import logical_fp
 from repro.errors import SimulatedCrash
 from repro.faults import FaultPlan, points_for, recover_service
+from repro.gc.incremental import GCBudget
 from repro.gc.migration import NaiveMigration
 
 from tests.conftest import refs
@@ -32,31 +33,30 @@ def make_config(vc_table: str) -> SystemConfig:
 
 
 # One operation = ingest a window of the chunk-id space, or delete+GC.
-operations = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("ingest"),
-            st.integers(min_value=0, max_value=60),  # window start
-            st.integers(min_value=4, max_value=40),  # window length
-        ),
-        st.tuples(st.just("gc"), st.just(0), st.just(0)),
+operation = st.one_of(
+    st.tuples(
+        st.just("ingest"),
+        st.integers(min_value=0, max_value=60),  # window start
+        st.integers(min_value=4, max_value=40),  # window length
     ),
-    min_size=1,
-    max_size=12,
+    st.tuples(st.just("gc"), st.just(0), st.just(0)),
 )
+operations = st.lists(operation, min_size=1, max_size=12)
 
 strategies_to_test = st.sampled_from(["naive", "gccdf", "gccdf-random", "gccdf-tree"])
 vc_tables = st.sampled_from(["exact", "bloom"])
 
 
-def build_service(strategy: str, vc_table: str) -> DedupBackupService:
+def build_service(strategy: str, vc_table: str, **modes) -> DedupBackupService:
+    """``modes``: the service's ``gc_mode``/``gc_budget``/``dedup_mode``."""
     config = make_config(vc_table)
     if strategy == "naive":
-        return DedupBackupService(config=config, migration=NaiveMigration())
+        return DedupBackupService(config=config, migration=NaiveMigration(), **modes)
     packing = {"gccdf": "greedy", "gccdf-random": "random", "gccdf-tree": "tree"}[strategy]
     return DedupBackupService(
         config=config.with_gccdf(packing=packing, segment_size=2),
         migration=GCCDFMigration(),
+        **modes,
     )
 
 
@@ -83,10 +83,11 @@ def test_live_backups_always_restorable(ops, strategy, vc_table):
         assert report.logical_bytes == recipe.logical_size
         # And every recipe key resolves to a live container that really
         # holds that key.
+        intern = service.recipes.interner.id_of
         for entry in recipe.entries:
             placement = service.index.get(entry.fp)
             container = service.store.peek(placement.container_id)
-            assert entry.fp in container.fingerprints()
+            assert intern(entry.fp) in container.distinct_ids()
 
 
 @given(operations, strategies_to_test)
@@ -101,9 +102,11 @@ def test_store_and_index_mutually_consistent(ops, strategy):
             service.run_gc()
 
     # Index placements point at live containers holding the key.
+    interner = service.recipes.interner
     for key, placement in service.index.items():
         assert placement.container_id in service.store
-        assert key in service.store.peek(placement.container_id).fingerprints()
+        container = service.store.peek(placement.container_id)
+        assert interner.id_of(key) in container.distinct_ids()
 
     # With an exact VC table, GC leaves no unreferenced keys behind after
     # the most recent collection *if* one ran with no later ingests; in
@@ -111,44 +114,79 @@ def test_store_and_index_mutually_consistent(ops, strategy):
     # we check the weaker direction: store keys are a subset of the index.
     store_keys = set()
     for container in service.store.containers():
-        store_keys.update(container.fingerprints())
+        store_keys.update(map(interner.key_of, container.distinct_ids()))
     index_keys = {key for key, _ in service.index.items()}
     assert store_keys == index_keys
 
 
-@given(
-    operations,
-    strategies_to_test,
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=50, deadline=None)
-def test_injected_crash_recovery_keeps_system_consistent(
-    ops, strategy, point_index, occurrence
-):
-    """Crash at an arbitrary armed point mid-sequence, recover in place,
-    and keep executing the remaining operations: every surviving backup
-    must stay restorable and the verifier must stay clean throughout."""
-    points = points_for("gccdf" if strategy.startswith("gccdf") else "naive")
-    plan = FaultPlan.single(points[point_index % len(points)], occurrence=occurrence)
-    service = build_service(strategy, "exact")
-    service.disk.faults = plan
-    expected: dict[int, list[bytes]] = {}
+#: Small budgets, so an incremental cycle crosses many step boundaries.
+CRASH_BUDGET = GCBudget(mark_recipes=2, sweep_containers=1, rededup_keys=2)
 
-    crashed = False
-    for op, start, length in ops:
+#: Longer histories than ``operations``: room for several crashes per run.
+crash_operations = st.lists(operation, min_size=6, max_size=16)
+
+
+@given(
+    crash_operations,
+    strategies_to_test,
+    st.sampled_from(["stw", "incremental"]),
+    st.sampled_from(["inline", "hybrid"]),
+    st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_injected_crash_recovery_keeps_system_consistent(
+    ops, strategy, gc_mode, dedup_mode, seeds
+):
+    """Up to three crashes per run: each seed arms one ``FaultPlan`` at a
+    point the configuration can reach.  After every crash the service is
+    recovered in place, the next seeded plan is armed, and the remaining
+    operations (then a final drain GC) keep executing: every surviving
+    backup must stay restorable and the verifier must stay clean
+    throughout."""
+    approach = "gccdf" if strategy.startswith("gccdf") else "naive"
+    points = points_for(approach, gc_mode, dedup_mode)
+    plans = [FaultPlan.seeded(seed, points, max_occurrence=3) for seed in seeds]
+    service = build_service(
+        strategy, "exact", gc_mode=gc_mode, gc_budget=CRASH_BUDGET, dedup_mode=dedup_mode
+    )
+    service.disk.faults = plans[0]
+    expected: dict[int, list[bytes]] = {}
+    crashes = 0
+
+    def survives(action) -> bool:
+        nonlocal crashes
         try:
-            if op == "ingest":
-                stream = refs("prop", range(start, start + length))
-                result = service.ingest(stream)
-                expected[result.backup_id] = [r.fp for r in stream]
-            else:
-                service.delete_oldest(1)
-                service.run_gc()
+            action()
         except SimulatedCrash:
-            crashed = True
             recover_service(service)
             assert verify_service(service).errors == []
+            crashes += 1
+            if crashes < len(plans):
+                service.disk.faults = plans[crashes]
+            return False
+        return True
+
+    for position, (op, start, length) in enumerate(ops):
+        if op == "ingest":
+            stream = refs("prop", range(start, start + length))
+
+            def ingest():
+                # Two sources: a copy under the other one misses the hybrid
+                # neighbor window and is deferred for GC to coalesce.
+                result = service.ingest(stream, source=f"s{position % 2}")
+                expected[result.backup_id] = [r.fp for r in stream]
+
+            survives(ingest)
+        else:
+            def collect():
+                service.delete_oldest(1)
+                service.run_gc()
+
+            survives(collect)
+    # Drain: finish a cycle a crash left in flight (incremental recovery
+    # resumes, not restarts, it); each retry is one more armed plan spent.
+    while not survives(service.run_gc):
+        pass
 
     assert verify_service(service).errors == []
     assert len(service.store.journal) == 0
@@ -157,9 +195,10 @@ def test_injected_crash_recovery_keeps_system_consistent(
         assert [logical_fp(e.fp) for e in recipe.entries] == expected[backup_id]
         report = service.restore(backup_id)
         assert report.logical_bytes == recipe.logical_size
-    if not crashed:
-        # The plan never fired: the armed run must match an unarmed one.
-        assert plan.fired is None
+    # Every crash was one plan firing; the plans not yet armed never fired.
+    assert [plan.fired is not None for plan in plans] == [True] * crashes + [
+        False
+    ] * (len(plans) - crashes)
 
 
 @given(operations)

@@ -13,7 +13,6 @@ from repro.dedup.rewriting import (
 from repro.dedup.rewriting.base import IngestEntry
 from repro.errors import ConfigError
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.interning import FingerprintInterner
 from repro.index.recipe import RecipeStore
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
@@ -22,9 +21,7 @@ from tests.conftest import refs
 
 
 def make_store(capacity=4096) -> ContainerStore:
-    return ContainerStore(
-        capacity=capacity, disk=DiskModel(), interner=FingerprintInterner()
-    )
+    return ContainerStore(capacity=capacity, disk=DiskModel())
 
 
 def entry(i: int, container_id=None, size=512) -> IngestEntry:

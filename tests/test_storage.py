@@ -11,7 +11,6 @@ from repro.errors import (
 )
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.interning import FingerprintInterner
-from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.cache import ContainerCache
 from repro.storage.container import Container
@@ -19,71 +18,78 @@ from repro.storage.store import ContainerStore
 from repro.storage.writer import ContainerWriter
 
 
-def ref(i: int, size: int = 100) -> ChunkRef:
-    return ChunkRef(fp=synthetic_fingerprint("t", i), size=size)
+def key(i: int) -> bytes:
+    return synthetic_fingerprint("t", i)
+
+
+def put(target, i: int, size: int = 100, payload: bytes | None = None):
+    """Append chunk id ``i`` (key ``key(i)``) to a container or writer."""
+    return target.append(i, size, key(i), payload)
 
 
 @pytest.fixture
 def store() -> ContainerStore:
-    return ContainerStore(
-        capacity=1000,
-        disk=DiskModel(DiskConfig(bandwidth=1e9)),
-        interner=FingerprintInterner(),
-    )
+    return ContainerStore(capacity=1000, disk=DiskModel(DiskConfig(bandwidth=1e9)))
 
 
 class TestContainer:
     def test_append_tracks_usage(self):
         container = Container(0, 1000)
-        container.append(ref(1, 300))
-        container.append(ref(2, 200))
+        put(container, 1, 300)
+        put(container, 2, 200)
         assert container.used_bytes == 500
         assert len(container) == 2
         assert container.utilization == pytest.approx(0.5)
 
     def test_fits_boundary(self):
         container = Container(0, 1000)
-        container.append(ref(1, 900))
+        put(container, 1, 900)
         assert container.fits(100)
         assert not container.fits(101)
 
     def test_overflow_rejected(self):
         container = Container(0, 1000)
-        container.append(ref(1, 900))
+        put(container, 1, 900)
         with pytest.raises(ContainerFullError):
-            container.append(ref(2, 200))
+            put(container, 2, 200)
 
     def test_sealed_rejects_appends(self):
         container = Container(0, 1000)
         container.seal()
         with pytest.raises(ContainerSealedError):
-            container.append(ref(1))
+            put(container, 1)
 
     def test_payload_storage_optional(self):
         container = Container(0, 1000)
-        container.append(ref(1), payload=b"abc")
-        container.append(ref(2))
-        assert container.payload(ref(1).fp) == b"abc"
-        assert container.payload(ref(2).fp) is None
+        put(container, 1, payload=b"abc")
+        put(container, 2)
+        assert container.payload(key(1)) == b"abc"
+        assert container.payload(key(2)) is None
 
     def test_fingerprints_set(self):
+        """A sealed container's fingerprints are its distinct-id set (built
+        at seal time), resolved through the owning interner."""
+        interner = FingerprintInterner()
         container = Container(0, 1000)
-        container.append(ref(1))
-        container.append(ref(2))
-        assert container.fingerprints() == {ref(1).fp, ref(2).fp}
+        for i in (1, 2, 1):
+            container.append(interner.intern(key(i)), 100, key(i))
+        assert container.distinct_ids() is None
+        container.seal()
+        fingerprints = {interner.key_of(i) for i in container.distinct_ids()}
+        assert fingerprints == {key(1), key(2)}
 
     def test_iteration_preserves_order(self):
         container = Container(0, 1000)
-        entries = [ref(i) for i in range(5)]
-        for entry in entries:
-            container.append(entry)
-        assert list(container) == entries
+        for i in range(5):
+            put(container, i, size=100 + i)
+        assert list(container.chunk_ids) == list(range(5))
+        assert list(container.chunk_sizes) == [100 + i for i in range(5)]
 
 
 class TestContainerStore:
     def test_commit_charges_write_io(self, store):
         container = store.allocate()
-        container.append(ref(1, 600))
+        put(container, 1, 600)
         store.commit(container)
         assert store.disk.stats.write_bytes == 600
         assert store.containers_written == 1
@@ -96,7 +102,7 @@ class TestContainerStore:
 
     def test_read_charges_container_read(self, store):
         container = store.allocate()
-        container.append(ref(1, 600))
+        put(container, 1, 600)
         store.commit(container)
         before = store.disk.stats.read_bytes
         store.read_container(container.container_id)
@@ -104,7 +110,7 @@ class TestContainerStore:
 
     def test_peek_charges_nothing(self, store):
         container = store.allocate()
-        container.append(ref(1, 600))
+        put(container, 1, 600)
         store.commit(container)
         before = store.disk.stats.read_bytes
         store.peek(container.container_id)
@@ -117,7 +123,7 @@ class TestContainerStore:
 
     def test_delete_reclaims(self, store):
         container = store.allocate()
-        container.append(ref(1, 600))
+        put(container, 1, 600)
         store.commit(container)
         store.delete_container(container.container_id)
         assert container.container_id not in store
@@ -133,7 +139,7 @@ class TestContainerStore:
     def test_stored_bytes_sums_live_containers(self, store):
         for i in range(3):
             container = store.allocate()
-            container.append(ref(i, 100))
+            put(container, i, 100)
             store.commit(container)
         assert store.stored_bytes == 300
 
@@ -141,7 +147,7 @@ class TestContainerStore:
 class TestContainerWriter:
     def test_rolls_over_when_full(self, store):
         writer = ContainerWriter(store)
-        placements = [writer.append(ref(i, 400)) for i in range(5)]
+        placements = [put(writer, i, 400) for i in range(5)]
         writer.flush()
         # 1000-byte capacity → 2 chunks per container.
         assert placements == [0, 0, 1, 1, 2]
@@ -149,14 +155,14 @@ class TestContainerWriter:
 
     def test_flush_commits_partial_container(self, store):
         writer = ContainerWriter(store)
-        writer.append(ref(1, 100))
+        put(writer, 1, 100)
         committed = writer.flush()
         assert len(committed) == 1
         assert store.peek(committed[0]).used_bytes == 100
 
     def test_flush_idempotent(self, store):
         writer = ContainerWriter(store)
-        writer.append(ref(1, 100))
+        put(writer, 1, 100)
         first = writer.flush()
         assert writer.flush() == first
 
@@ -164,15 +170,9 @@ class TestContainerWriter:
         sealed = []
         writer = ContainerWriter(store, on_commit=lambda c: sealed.append(c.container_id))
         for i in range(5):
-            writer.append(ref(i, 400))
+            put(writer, i, 400)
         writer.flush()
         assert sealed == [0, 1, 2]
-
-    def test_open_container_id_visible(self, store):
-        writer = ContainerWriter(store)
-        assert writer.open_container_id is None
-        writer.append(ref(1, 100))
-        assert writer.open_container_id == 0
 
 
 class TestContainerCache:
@@ -180,7 +180,7 @@ class TestContainerCache:
         ids = []
         for i in range(n):
             container = store.allocate()
-            container.append(ref(i, 500))
+            put(container, i, 500)
             store.commit(container)
             ids.append(container.container_id)
         return ids
