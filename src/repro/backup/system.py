@@ -1,20 +1,20 @@
 """The container-based backup service.
 
 Wires together every substrate — simulated disk, container store, fingerprint
-index, recipes, ingest pipeline (with a rewriting policy), restore engine and
-mark–sweep GC (with a migration strategy) — into the facade the evaluation
-driver consumes.  All six container-based configurations of the paper's §6.1
+index, recipes, ingest pipeline (with an optional rewriting policy), restore
+engine and mark–sweep GC (with a migration strategy) — into the facade the
+evaluation driver consumes.  All six container-based configurations of the paper's §6.1
 are instances of this class differing only in two plugins:
 
 =============  ===================  =========================
 approach       rewriting policy     migration strategy
 =============  ===================  =========================
-Non-dedup      (dedup disabled)     NaiveMigration
-Naïve          none                 NaiveMigration
+Non-dedup      None (no dedup)      NaiveMigration
+Naïve          None                 NaiveMigration
 Capping        CappingRewriting     NaiveMigration
 HAR            HARRewriting         NaiveMigration
 SMR            SMRRewriting         NaiveMigration
-GCCDF          none                 GCCDFMigration
+GCCDF          None                 GCCDFMigration
 =============  ===================  =========================
 """
 
@@ -77,9 +77,10 @@ class DedupBackupService(BackupService):
         self.store = ContainerStore(self.config.container_size, self.disk)
         self.index = FingerprintIndex()
         # Hybrid dedup state exists only when the mode can actually take
-        # effect: it needs dedup and is bypassed by rewriting policies (the
-        # pipeline dispatch falls back to inline for those), so non-dedup
-        # services simply never defer.
+        # effect: it needs dedup, so non-dedup services never defer.  A
+        # rewriting policy attached after construction bypasses it too: the
+        # pipeline takes the hybrid kernel only while ``rewriting is None``
+        # and runs policy streams through the inline kernel.
         self.dedup_mode = dedup_mode
         self.hybrid = (
             HybridState() if dedup_mode == "hybrid" and dedup_enabled else None

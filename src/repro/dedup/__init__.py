@@ -11,7 +11,6 @@ from repro.dedup.logical_index import LogicalIndex
 from repro.dedup.pipeline import IngestPipeline, IngestResult
 from repro.dedup.rewriting import (
     RewritingPolicy,
-    NullRewriting,
     CappingRewriting,
     HARRewriting,
     SMRRewriting,
@@ -26,7 +25,6 @@ __all__ = [
     "IngestPipeline",
     "IngestResult",
     "RewritingPolicy",
-    "NullRewriting",
     "CappingRewriting",
     "HARRewriting",
     "SMRRewriting",

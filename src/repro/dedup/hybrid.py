@@ -111,11 +111,6 @@ class HybridState:
     # Ingest-side filter maintenance
     # ------------------------------------------------------------------
 
-    def note_stored(self, fp: bytes) -> None:
-        """Record that a copy of logical fingerprint ``fp`` was stored."""
-        self.filter.add(fp)
-        self.filter_adds += 1
-
     def maybe_rebuild_filter(self, current_keys: Iterable[bytes]) -> None:
         """Regrow a saturated ingest filter from the live key population.
 

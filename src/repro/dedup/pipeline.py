@@ -5,9 +5,10 @@
 :class:`~repro.model.ChunkRef` references from a trace-level workload — and:
 
 1. probes the logical index for duplicates,
-2. offers every entry to the rewriting policy (the hook where Capping/HAR/SMR
-   act; the paper's workflow puts rewriting exactly here),
-3. writes unique and rewrite-flagged chunks to containers,
+2. lets the rewriting policy pick, per stream segment, the old containers
+   whose duplicates are stored again (the hook where Capping/HAR/SMR act;
+   the paper's workflow puts rewriting exactly here),
+3. writes unique and rewritten chunks to containers,
 4. records the backup's recipe over *storage keys*, pinning the exact copies
    this backup reads at restore time.
 
@@ -16,14 +17,14 @@ Non-dedup baseline of §3.1 — through the same code path.
 
 Recipes are built as :class:`~repro.index.columnar.ColumnarRecipe` id/size
 columns, and every stored chunk is written to its container under the same
-interned id the recipe records.  Streams that need no rewriting decisions
-(``NullRewriting`` — Naïve, GCCDF, Non-dedup) take a fused batched kernel:
-the duplicate majority of the stream is classified with two C-level dict
-probes and two array appends per chunk, materialising no ``IngestEntry``
-objects and paying no policy calls.  Policy-bearing streams offer one
-``IngestEntry`` per chunk to the policy over the same probe sequence;
-hybrid-mode streams classify against the neighbor window and the ingest
-Bloom filter instead of the index (:mod:`repro.dedup.hybrid`).
+interned id the recipe records.  Two kernels do the work.  The inline kernel
+classifies the duplicate majority of the stream with two C-level dict probes
+per chunk; without a policy (Naïve, GCCDF, Non-dedup) it records each chunk
+at once, with a policy it buffers ``policy.segment_bytes`` of probed chunks
+and records them once :meth:`RewritingPolicy.decide` has seen the segment's
+per-container duplicate bytes.  Hybrid-mode streams classify against the
+neighbor window and the ingest Bloom filter instead of the index
+(:mod:`repro.dedup.hybrid`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Union
 
 from repro.dedup.hybrid import HybridState
 from repro.dedup.logical_index import LogicalIndex
-from repro.dedup.rewriting.base import IngestEntry, NullRewriting, RewritingPolicy
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
@@ -83,7 +84,7 @@ class IngestPipeline:
         self.store = store
         self.index = index
         self.recipes = recipes
-        self.rewriting = rewriting or NullRewriting()
+        self.rewriting = rewriting
         self.dedup_enabled = dedup_enabled
         self.hybrid = hybrid
         self.logical = LogicalIndex(index)
@@ -94,39 +95,34 @@ class IngestPipeline:
         source: str = "",
     ) -> IngestResult:
         """Deduplicate and store one backup; returns its accounting."""
-        if (
-            self.hybrid is not None
-            and self.dedup_enabled
-            and type(self.rewriting) is NullRewriting
-        ):
-            # Hybrid classification only applies to decision-free streams:
+        if self.hybrid is not None and self.dedup_enabled and self.rewriting is None:
+            # Hybrid classification only applies to policy-free streams:
             # rewriting policies need the full inline duplicate verdict per
             # chunk, so policy-bearing services fall back to inline dedup.
             return self._ingest_hybrid_batched(stream, source)
-        # The fused kernel assumes the policy is a decision-free
-        # pass-through (exact type check: subclasses may override hooks).
-        if type(self.rewriting) is NullRewriting:
-            return self._ingest_batched(stream, source)
-        return self._ingest_columnar_policy(stream, source)
+        return self._ingest_batched(stream, source)
 
     # ------------------------------------------------------------------
-    # Rewriting-policy path: per-entry decisions over interned id/size
-    # columns
+    # Inline path: index classification, optional segment rewriting
     # ------------------------------------------------------------------
 
-    def _ingest_columnar_policy(
+    def _ingest_batched(
         self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
     ) -> IngestResult:
-        """Policy-bearing ingest.
+        """Fused classify/record kernel for inline dedup.
 
-        The policy still sees one :class:`IngestEntry` per chunk — buffered
-        segment decisions (Capping/HAR/SMR) need the full entry — but the
-        duplicate probe is the fused ``current``/``placements`` dict pair
-        with bulk-flushed statistics (as in :meth:`_ingest_batched`), and
-        accepted entries append interned ids to the recipe columns.
+        Every per-chunk attribute lookup and method call is hoisted out of
+        the loop and the index-statistics updates are batched, so a
+        policy-free duplicate costs two dict probes and two array appends.
+        With a rewriting policy each chunk is still probed when it arrives,
+        but recorded only when its segment closes: the pending
+        ``(fp, size, payload, key, container_id)`` rows (``container_id``
+        −1 on a miss) wait until ``policy.segment_bytes`` have arrived (or
+        the stream ends), the policy names the containers whose duplicates
+        are stored again, and the segment is recorded in stream order.
         """
         backup_id = self.recipes.new_backup_id()
-        self.rewriting.begin_backup(backup_id)
+        policy = self.rewriting
         writer = ContainerWriter(self.store)
 
         ids = array("q")
@@ -134,7 +130,6 @@ class IngestPipeline:
         ids_append = ids.append
         sizes_append = sizes.append
         intern = self.recipes.interner.intern
-        interned_get = self.recipes.interner.id_map().get
 
         index = self.index
         logical = self.logical
@@ -144,7 +139,6 @@ class IngestPipeline:
         new_key = logical.new_key
         insert = index.insert
         writer_append = writer.append
-        feed = self.rewriting.feed
         chunk_type = Chunk
         dedup_enabled = self.dedup_enabled
 
@@ -153,75 +147,91 @@ class IngestPipeline:
         dedup_bytes = 0
         rewritten_bytes = 0
         # Probe statistics, flushed to the index objects after the loop
-        # (bulk adds of the per-probe increments LogicalIndex.lookup makes).
-        log_lookups = 0
-        log_hits = 0
-        phys_probes = 0
-        phys_hits = 0
+        # (bulk adds of the per-probe increments LogicalIndex.lookup makes;
+        # a logical hit is exactly a physical hit here).
+        lookups = 0
+        probes = 0
+        hits = 0
 
-        def write_entry(entry: IngestEntry) -> None:
+        pending: list[tuple[bytes, int, bytes | None, bytes | None, int]] = []
+        pending_append = pending.append
+        pending_bytes = 0
+        segment_limit = 0
+
+        def close_segment(segment_bytes: int) -> None:
             nonlocal stored_bytes, dedup_bytes, rewritten_bytes
-            if entry.duplicate and not entry.rewrite:
-                assert entry.existing_key is not None
-                ids_append(intern(entry.existing_key))
-                sizes_append(entry.size)
-                dedup_bytes += entry.size
-                return
-            key = new_key(entry.fp)
-            chunk_id = intern(key)
-            container_id = writer_append(chunk_id, entry.size, key, entry.payload)
-            insert(key, container_id, entry.size)
-            ids_append(chunk_id)
-            sizes_append(entry.size)
-            stored_bytes += entry.size
-            if entry.duplicate:
-                rewritten_bytes += entry.size
+            referenced: dict[int, int] = {}
+            for _, size, _, _, container_id in pending:
+                if container_id >= 0:
+                    referenced[container_id] = referenced.get(container_id, 0) + size
+            rewrite = policy.decide(referenced, segment_bytes)
+            for fp, size, payload, key, container_id in pending:
+                if container_id >= 0:
+                    if container_id not in rewrite:
+                        ids_append(intern(key))
+                        sizes_append(size)
+                        dedup_bytes += size
+                        continue
+                    rewritten_bytes += size
+                key = new_key(fp)
+                chunk_id = intern(key)
+                insert(key, writer_append(chunk_id, size, key, payload), size)
+                ids_append(chunk_id)
+                sizes_append(size)
+                stored_bytes += size
+            pending.clear()
 
         with self.store.disk.phase("ingest") as ph:
+            if policy is not None:
+                policy.begin_backup(backup_id)
+                segment_limit = policy.segment_bytes
             for item in stream:
                 if isinstance(item, chunk_type):
                     fp, size, payload = item.fp, item.size, item.data
                 else:
                     fp, size, payload = item.fp, item.size, None
                 logical_bytes += size
-                entry = IngestEntry(fp=fp, size=size, payload=payload)
+                container_id = -1
                 if dedup_enabled:
-                    log_lookups += 1
+                    lookups += 1
                     key = current_get(fp)
                     if key is not None:
-                        phys_probes += 1
+                        probes += 1
                         placement = placements_get(key)
-                        if placement is not None:
-                            phys_hits += 1
-                            log_hits += 1
-                            # A copy sitting in the still-open container cannot
-                            # be fragmented away from this stream; treat normally.
-                            entry.duplicate = True
-                            entry.existing_key = key
-                            entry.container_id = placement.container_id
-                        else:
+                        if placement is None:
                             # Stale entry: the copy was reclaimed — drop it
-                            # (exactly what LogicalIndex.lookup does).
+                            # and fall through to the miss path (exactly
+                            # what LogicalIndex.lookup does).
                             del current[fp]
-                for decided in feed(entry):
-                    # Accepted duplicates are the stream majority: record
-                    # them inline with a bare intern-dict probe; the
-                    # miss/rewrite minority takes the full write path.
-                    if decided.duplicate and not decided.rewrite:
-                        existing = decided.existing_key
-                        chunk_id = interned_get(existing)
-                        ids_append(
-                            intern(existing) if chunk_id is None else chunk_id
-                        )
-                        sizes_append(decided.size)
-                        dedup_bytes += decided.size
-                    else:
-                        write_entry(decided)
+                        else:
+                            hits += 1
+                            if policy is None:
+                                # Duplicate: reference the live current copy.
+                                ids_append(intern(key))
+                                sizes_append(size)
+                                dedup_bytes += size
+                                continue
+                            container_id = placement.container_id
+                if policy is None:
+                    # Miss (or dedup disabled): store a fresh copy.
+                    key = new_key(fp)
+                    chunk_id = intern(key)
+                    insert(key, writer_append(chunk_id, size, key, payload), size)
+                    ids_append(chunk_id)
+                    sizes_append(size)
+                    stored_bytes += size
+                    continue
+                pending_append((fp, size, payload, key, container_id))
+                pending_bytes += size
+                if pending_bytes >= segment_limit:
+                    close_segment(pending_bytes)
+                    pending_bytes = 0
+            if pending:
+                close_segment(pending_bytes)
 
-            for decided in self.rewriting.flush():
-                write_entry(decided)
             containers = writer.flush()
-            self.rewriting.end_backup()
+            if policy is not None:
+                policy.end_backup()
             ph.annotate(
                 backup_id=backup_id,
                 logical_bytes=logical_bytes,
@@ -231,10 +241,10 @@ class IngestPipeline:
                 containers_written=len(containers),
             )
 
-        logical.lookups += log_lookups
-        logical.hits += log_hits
-        index.lookups += phys_probes
-        index.hits += phys_hits
+        logical.lookups += lookups
+        logical.hits += hits
+        index.lookups += probes
+        index.hits += hits
 
         recipe = ColumnarRecipe(
             backup_id=backup_id,
@@ -255,120 +265,6 @@ class IngestPipeline:
         )
 
     # ------------------------------------------------------------------
-    # Batched path: decision-free streams
-    # ------------------------------------------------------------------
-
-    def _ingest_batched(
-        self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
-    ) -> IngestResult:
-        """Fused classify/record kernel for ``NullRewriting`` streams.
-
-        The policy path's step sequence — same probe order, same write
-        order, same counters — with every per-chunk attribute lookup and
-        method call hoisted out of the loop and the index-statistics
-        updates batched, so the duplicate majority costs two dict probes
-        and two array appends per occurrence.
-        """
-        backup_id = self.recipes.new_backup_id()
-        self.rewriting.begin_backup(backup_id)
-        writer = ContainerWriter(self.store)
-
-        ids = array("q")
-        sizes = array("q")
-        ids_append = ids.append
-        sizes_append = sizes.append
-        intern = self.recipes.interner.intern
-
-        index = self.index
-        logical = self.logical
-        current = logical.current_map()
-        current_get = current.get
-        placements = index.placements_map()
-        placements_get = placements.get
-        new_key = logical.new_key
-        insert = index.insert
-        writer_append = writer.append
-        chunk_type = Chunk
-        dedup_enabled = self.dedup_enabled
-
-        logical_bytes = 0
-        stored_bytes = 0
-        dedup_bytes = 0
-        # Probe statistics, flushed to the index objects after the loop
-        # (bulk adds of the per-probe increments LogicalIndex.lookup makes).
-        log_lookups = 0
-        log_hits = 0
-        phys_probes = 0
-        phys_hits = 0
-
-        with self.store.disk.phase("ingest") as ph:
-            for item in stream:
-                if isinstance(item, chunk_type):
-                    fp, size, payload = item.fp, item.size, item.data
-                else:
-                    fp, size, payload = item.fp, item.size, None
-                logical_bytes += size
-                if dedup_enabled:
-                    log_lookups += 1
-                    key = current_get(fp)
-                    if key is not None:
-                        phys_probes += 1
-                        if placements_get(key) is not None:
-                            # Duplicate: reference the live current copy.
-                            phys_hits += 1
-                            log_hits += 1
-                            ids_append(intern(key))
-                            sizes_append(size)
-                            dedup_bytes += size
-                            continue
-                        # Stale entry: the copy was reclaimed — drop it and
-                        # fall through to the miss path (exactly what
-                        # LogicalIndex.lookup does).
-                        del current[fp]
-                # Miss (or dedup disabled): store a fresh copy.
-                key = new_key(fp)
-                chunk_id = intern(key)
-                container_id = writer_append(chunk_id, size, key, payload)
-                insert(key, container_id, size)
-                ids_append(chunk_id)
-                sizes_append(size)
-                stored_bytes += size
-
-            containers = writer.flush()
-            self.rewriting.end_backup()
-            ph.annotate(
-                backup_id=backup_id,
-                logical_bytes=logical_bytes,
-                stored_bytes=stored_bytes,
-                dedup_bytes=dedup_bytes,
-                rewritten_bytes=0,
-                containers_written=len(containers),
-            )
-
-        logical.lookups += log_lookups
-        logical.hits += log_hits
-        index.lookups += phys_probes
-        index.hits += phys_hits
-
-        recipe = ColumnarRecipe(
-            backup_id=backup_id,
-            interner=self.recipes.interner,
-            chunk_ids=ids,
-            chunk_sizes=sizes,
-            source=source,
-        )
-        self.recipes.add(recipe)
-        return IngestResult(
-            backup_id=backup_id,
-            logical_bytes=logical_bytes,
-            num_chunks=len(ids),
-            stored_bytes=stored_bytes,
-            dedup_bytes=dedup_bytes,
-            rewritten_bytes=0,
-            containers_written=len(containers),
-        )
-
-    # ------------------------------------------------------------------
     # Hybrid inline/out-of-line path: neighbor/filter classification,
     # deferred duplicates coalesced later by GC (repro.dedup.hybrid)
     # ------------------------------------------------------------------
@@ -376,7 +272,7 @@ class IngestPipeline:
     def _ingest_hybrid_batched(
         self, stream: Iterable[Union[Chunk, ChunkRef]], source: str
     ) -> IngestResult:
-        """Fused hybrid kernel for ``NullRewriting`` streams.
+        """Fused hybrid kernel for policy-free streams.
 
         Per chunk: probe the per-source neighbor window (this stream's own
         entries, then the previous backup of the same source); a neighbor
@@ -392,7 +288,6 @@ class IngestPipeline:
         hybrid = self.hybrid
         assert hybrid is not None
         backup_id = self.recipes.new_backup_id()
-        self.rewriting.begin_backup(backup_id)
         writer = ContainerWriter(self.store)
 
         ids = array("q")
@@ -482,7 +377,6 @@ class IngestPipeline:
                     filter_new += 1
 
             containers = writer.flush()
-            self.rewriting.end_backup()
             ph.annotate(
                 backup_id=backup_id,
                 logical_bytes=logical_bytes,

@@ -1,7 +1,7 @@
 """Rewriting-based defragmentation baselines (paper §2.3, §6.1).
 
-A rewriting policy watches the ingest stream and may flag duplicate chunks to
-be *stored again* near their backup's other chunks, trading dedup ratio for
+A rewriting policy watches the ingest stream and may have duplicate chunks
+*stored again* near their backup's other chunks, trading dedup ratio for
 restore locality.  Three published techniques are implemented:
 
 * :class:`CappingRewriting` — Lillibridge et al., FAST '13.
@@ -9,16 +9,16 @@ restore locality.  Three published techniques are implemented:
 * :class:`SMRRewriting` — cost-efficient utility-threshold rewriting after
   Wu et al., TPDS '19 (approximation; see DESIGN.md substitution table).
 
-plus :class:`NullRewriting` (never rewrites — used by Naïve and GCCDF).
+Each is a segment function (:meth:`RewritingPolicy.decide`); services
+without a policy (Naïve, GCCDF, Non-dedup) pass ``rewriting=None``.
 """
 
-from repro.dedup.rewriting.base import IngestEntry, NullRewriting, RewritingPolicy
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.dedup.rewriting.capping import CappingRewriting
 from repro.dedup.rewriting.har import HARRewriting
 from repro.dedup.rewriting.smr import SMRRewriting
 
 _REGISTRY = {
-    "none": NullRewriting,
     "capping": CappingRewriting,
     "har": HARRewriting,
     "smr": SMRRewriting,
@@ -37,15 +37,11 @@ def make_rewriting(name: str, store, **kwargs) -> RewritingPolicy:
         raise ValueError(
             f"unknown rewriting policy {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
-    if cls is NullRewriting:
-        return cls()
     return cls(store=store, **kwargs)
 
 
 __all__ = [
-    "IngestEntry",
     "RewritingPolicy",
-    "NullRewriting",
     "CappingRewriting",
     "HARRewriting",
     "SMRRewriting",

@@ -1,96 +1,34 @@
 """Rewriting-policy interface.
 
-Policies see the ingest stream as a sequence of :class:`IngestEntry` items
-already annotated with the duplicate-detection result.  They may buffer
-entries (Capping and SMR decide per stream segment) and must emit every entry
-exactly once, in stream order, with ``rewrite`` finalised.  The pipeline then
-writes unique entries and rewrite-flagged duplicates to containers.
+A policy decides over stream segments.  The ingest kernel probes every
+chunk as it arrives and buffers it until ``segment_bytes`` of stream have
+arrived (``0``: every chunk is its own segment); it then hands the policy
+the segment's duplicate bytes per referenced old container, in
+first-reference order, and stores again every duplicate housed in a
+container the policy returns.  The segment is recorded in stream order
+after the decision, and the stream's final partial segment is decided too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
-
-
-@dataclass(slots=True)
-class IngestEntry:
-    """One chunk travelling through the ingest pipeline.
-
-    The pipeline fills the identity and duplicate-detection fields; the
-    rewriting policy owns ``rewrite``.  Slotted: one is created per chunk
-    occurrence on every policy-bearing ingest path.
-    """
-
-    fp: bytes
-    size: int
-    payload: bytes | None = None
-    #: True when duplicate detection found an existing copy.
-    duplicate: bool = False
-    #: Storage key of the existing current copy (duplicates only).
-    existing_key: bytes | None = None
-    #: Container currently holding that copy (duplicates only).
-    container_id: int | None = None
-    #: Policy decision: store this duplicate again.
-    rewrite: bool = False
-
 
 class RewritingPolicy:
-    """Base class: never rewrites; subclasses override the hooks they need."""
+    """Base class: subclasses implement :meth:`decide`."""
 
-    #: Human-readable policy name for reports.
-    name = "none"
+    #: Stream bytes buffered per decision; 0 decides after every chunk.
+    segment_bytes = 0
 
     def begin_backup(self, backup_id: int) -> None:
         """Called before the first chunk of each backup."""
 
-    def feed(self, entry: IngestEntry) -> Iterable[IngestEntry]:
-        """Offer one entry; yield zero or more entries with final decisions.
+    def decide(self, referenced: dict[int, int], segment_bytes: int) -> set[int]:
+        """Containers whose duplicates in this segment are stored again.
 
-        Entries must come back in stream order.  A policy that buffers
-        returns nothing now and releases the buffer later.
+        ``referenced`` maps each old container the segment's duplicates
+        live in to their total bytes; ``segment_bytes`` counts every chunk
+        of the segment, duplicate or not.
         """
-        return (entry,)
-
-    def flush(self) -> Iterable[IngestEntry]:
-        """Release any buffered entries at end of backup (decisions final)."""
-        return ()
+        raise NotImplementedError
 
     def end_backup(self) -> None:
-        """Called after the last entry has been flushed and written."""
-
-
-@dataclass
-class _Segment:
-    """A buffered run of stream entries used by segment-based policies."""
-
-    entries: list[IngestEntry] = field(default_factory=list)
-    buffered_bytes: int = 0
-
-    def add(self, entry: IngestEntry) -> None:
-        self.entries.append(entry)
-        self.buffered_bytes += entry.size
-
-    def referenced_bytes_by_container(self) -> dict[int, int]:
-        """Duplicate bytes per referenced old container in this segment."""
-        per_container: dict[int, int] = {}
-        for entry in self.entries:
-            if entry.duplicate and entry.container_id is not None:
-                per_container[entry.container_id] = (
-                    per_container.get(entry.container_id, 0) + entry.size
-                )
-        return per_container
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.buffered_bytes = 0
-
-
-class NullRewriting(RewritingPolicy):
-    """The no-op policy: every duplicate stays deduplicated.
-
-    Used by the Naïve baseline and by GCCDF itself — the paper's point is
-    that GCCDF "never tolerates any duplicate chunks" (§6.2).
-    """
-
-    name = "none"
+        """Called after the backup's last segment has been recorded."""

@@ -13,17 +13,13 @@ segment, at the cost of re-storing the rewritten duplicates.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.dedup.rewriting.base import IngestEntry, RewritingPolicy, _Segment
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.errors import ConfigError
 from repro.storage.store import ContainerStore
 
 
 class CappingRewriting(RewritingPolicy):
     """Segment-buffered container capping."""
-
-    name = "capping"
 
     def __init__(
         self,
@@ -40,29 +36,10 @@ class CappingRewriting(RewritingPolicy):
             raise ConfigError("segment_containers must be positive")
         self.cap = cap
         self.segment_bytes = segment_containers * store.capacity
-        self._segment = _Segment()
 
-    def begin_backup(self, backup_id: int) -> None:
-        self._segment.clear()
-
-    def feed(self, entry: IngestEntry) -> Iterable[IngestEntry]:
-        self._segment.add(entry)
-        if self._segment.buffered_bytes >= self.segment_bytes:
-            return self._decide_segment()
-        return ()
-
-    def flush(self) -> Iterable[IngestEntry]:
-        return self._decide_segment()
-
-    def _decide_segment(self) -> list[IngestEntry]:
-        """Rank referenced containers, rewrite duplicates beyond the cap."""
-        entries = list(self._segment.entries)
-        per_container = self._segment.referenced_bytes_by_container()
-        self._segment.clear()
-        if len(per_container) > self.cap:
-            ranked = sorted(per_container.items(), key=lambda kv: (-kv[1], kv[0]))
-            allowed = {container_id for container_id, _ in ranked[: self.cap]}
-            for entry in entries:
-                if entry.duplicate and entry.container_id not in allowed:
-                    entry.rewrite = True
-        return entries
+    def decide(self, referenced: dict[int, int], segment_bytes: int) -> set[int]:
+        """Rank referenced containers; rewrite the ones beyond the cap."""
+        if len(referenced) <= self.cap:
+            return set()
+        ranked = sorted(referenced, key=lambda cid: (-referenced[cid], cid))
+        return set(ranked[self.cap :])

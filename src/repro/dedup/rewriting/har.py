@@ -8,23 +8,19 @@ backup, the utilization of every old container it references; containers
 below the utilization threshold are declared sparse, and during the *next*
 backup every duplicate chunk housed in a sparse container is rewritten.
 
-Decisions are per chunk (no stream buffering), which is what makes HAR cheap
-at ingest time.
+Decisions are per chunk (``segment_bytes = 0``: no stream buffering), which
+is what makes HAR cheap at ingest time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.dedup.rewriting.base import IngestEntry, RewritingPolicy
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.errors import ConfigError, UnknownContainerError
 from repro.storage.store import ContainerStore
 
 
 class HARRewriting(RewritingPolicy):
     """Sparse-container rewriting driven by the previous backup's history."""
-
-    name = "har"
 
     def __init__(self, store: ContainerStore, utilization_threshold: float = 0.25):
         """``utilization_threshold``: containers whose referenced fraction
@@ -47,19 +43,18 @@ class HARRewriting(RewritingPolicy):
     def begin_backup(self, backup_id: int) -> None:
         self._referenced = {}
 
-    def _is_sparse(self, container_id: int) -> bool:
-        utilization = self._utilization.get(container_id)
-        return utilization is not None and utilization < self.utilization_threshold
-
-    def feed(self, entry: IngestEntry) -> Iterable[IngestEntry]:
-        if entry.duplicate and entry.container_id is not None:
-            if self._is_sparse(entry.container_id):
-                entry.rewrite = True
+    def decide(self, referenced: dict[int, int], segment_bytes: int) -> set[int]:
+        """Rewrite from sparse containers; record references to the rest."""
+        sparse = set()
+        for container_id, referenced_bytes in referenced.items():
+            utilization = self._utilization.get(container_id)
+            if utilization is not None and utilization < self.utilization_threshold:
+                sparse.add(container_id)
             else:
-                self._referenced[entry.container_id] = (
-                    self._referenced.get(entry.container_id, 0) + entry.size
+                self._referenced[container_id] = (
+                    self._referenced.get(container_id, 0) + referenced_bytes
                 )
-        return (entry,)
+        return sparse
 
     def end_backup(self) -> None:
         """Fold this backup's utilization observations into the records."""

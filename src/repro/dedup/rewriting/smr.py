@@ -15,17 +15,13 @@ from the aggressive default budget below.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.dedup.rewriting.base import IngestEntry, RewritingPolicy, _Segment
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.errors import ConfigError, UnknownContainerError
 from repro.storage.store import ContainerStore
 
 
 class SMRRewriting(RewritingPolicy):
     """Utility-ranked, budgeted rewriting per stream segment."""
-
-    name = "smr"
 
     def __init__(
         self,
@@ -48,19 +44,6 @@ class SMRRewriting(RewritingPolicy):
         self.utility_threshold = utility_threshold
         self.rewrite_budget = rewrite_budget
         self.segment_bytes = segment_containers * store.capacity
-        self._segment = _Segment()
-
-    def begin_backup(self, backup_id: int) -> None:
-        self._segment.clear()
-
-    def feed(self, entry: IngestEntry) -> Iterable[IngestEntry]:
-        self._segment.add(entry)
-        if self._segment.buffered_bytes >= self.segment_bytes:
-            return self._decide_segment()
-        return ()
-
-    def flush(self) -> Iterable[IngestEntry]:
-        return self._decide_segment()
 
     def _container_utility(self, container_id: int, referenced_bytes: int) -> float:
         """1 - referenced fraction: high utility == badly utilized."""
@@ -72,17 +55,11 @@ class SMRRewriting(RewritingPolicy):
             return 0.0
         return 1.0 - referenced_bytes / container.used_bytes
 
-    def _decide_segment(self) -> list[IngestEntry]:
-        entries = list(self._segment.entries)
-        segment_bytes = self._segment.buffered_bytes
-        per_container = self._segment.referenced_bytes_by_container()
-        self._segment.clear()
-        if not per_container:
-            return entries
-
+    def decide(self, referenced: dict[int, int], segment_bytes: int) -> set[int]:
+        """The worst-utilized candidates whose bytes fit the segment budget."""
         # Rank candidate containers worst-utilized first.
         candidates = []
-        for container_id, referenced_bytes in per_container.items():
+        for container_id, referenced_bytes in referenced.items():
             utility = self._container_utility(container_id, referenced_bytes)
             if utility > 1.0 - self.utility_threshold:
                 candidates.append((utility, container_id, referenced_bytes))
@@ -96,9 +73,4 @@ class SMRRewriting(RewritingPolicy):
                 continue
             to_rewrite.add(container_id)
             spent += referenced_bytes
-
-        if to_rewrite:
-            for entry in entries:
-                if entry.duplicate and entry.container_id in to_rewrite:
-                    entry.rewrite = True
-        return entries
+        return to_rewrite

@@ -31,10 +31,6 @@ class Volume:
         self.chunks.append(ref)
         self.size_bytes += ref.size
 
-    def covers(self, backup_id: int) -> bool:
-        """Is ``backup_id`` within this volume's live range?"""
-        return self.first <= backup_id <= self.last
-
     def __repr__(self) -> str:
         return f"Volume({self.first}..{self.last}, {len(self.chunks)} chunks, {self.size_bytes}B)"
 

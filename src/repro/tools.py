@@ -11,7 +11,8 @@ Four subcommands, usable as ``python -m repro.tools <cmd>`` or the
   (``repro simulate --approach gccdf --dataset web``).
 * ``inspect`` — run a small simulation and dump the analysis views:
   fragmentation profile, ownership stats, container purity, and (for small
-  systems) the ASCII layout.
+  systems) the ASCII layout.  Every view reads containers, so it takes the
+  container-based approaches only (not MFDedup's volumes).
 * ``faults`` — crash-consistency smoke: inject a :class:`SimulatedCrash`
   at an armed point mid-protocol, run recovery, and verify zero errors
   (``repro faults --approach gccdf --point sweep.repoint``, or
@@ -42,6 +43,10 @@ from repro.faults import CRASH_POINTS, FaultPlan, points_for, recover_service
 from repro.util.units import format_bytes
 from repro.workloads.datasets import DATASET_NAMES, dataset
 from repro.workloads.trace import load_trace, save_trace, trace_stats
+
+
+#: Approaches whose services store containers: every ``inspect`` view.
+CONTAINER_APPROACHES = tuple(a for a in APPROACHES if a != "mfdedup")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -291,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=f"{name} an approach over a workload")
         _add_workload_args(command)
         command.add_argument(
-            "--approach", choices=APPROACHES, default="gccdf", help="backup approach"
+            "--approach",
+            choices=APPROACHES if name == "simulate" else CONTAINER_APPROACHES,
+            default="gccdf",
+            help="backup approach",
         )
         command.add_argument("--retained", type=int, default=20, help="retention window")
         command.add_argument("--turnover", type=int, default=5, help="deletions per round")

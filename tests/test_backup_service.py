@@ -10,7 +10,6 @@ from repro.core.gccdf import GCCDFMigration
 from repro.dedup.rewriting import (
     CappingRewriting,
     HARRewriting,
-    NullRewriting,
     SMRRewriting,
 )
 from repro.gc.migration import NaiveMigration
@@ -126,7 +125,7 @@ class TestApproachFactory:
 
     def test_naive_uses_null_rewriting_and_naive_migration(self, scaled_config):
         service = make_service("naive", scaled_config)
-        assert isinstance(service.pipeline.rewriting, NullRewriting)
+        assert service.pipeline.rewriting is None
         assert isinstance(service.gc.migration, NaiveMigration)
 
     @pytest.mark.parametrize(
@@ -141,7 +140,7 @@ class TestApproachFactory:
     def test_gccdf_uses_gccdf_migration_without_rewriting(self, scaled_config):
         service = make_service("gccdf", scaled_config)
         assert isinstance(service.gc.migration, GCCDFMigration)
-        assert isinstance(service.pipeline.rewriting, NullRewriting)
+        assert service.pipeline.rewriting is None
 
     def test_nondedup_disables_dedup(self, scaled_config):
         service = make_service("nondedup", scaled_config)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.backup.system import DedupBackupService
 from repro.dedup.keys import key_generation, logical_fp
 from repro.dedup.pipeline import IngestPipeline
-from repro.dedup.rewriting.base import IngestEntry, RewritingPolicy
+from repro.dedup.rewriting.base import RewritingPolicy
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
 from repro.simio.disk import DiskModel
@@ -108,31 +109,23 @@ class TestNonDedupMode:
 
 
 class _RewriteEverything(RewritingPolicy):
-    """Test double: flags every duplicate for rewriting."""
+    """Test double: stores every duplicate again, deciding per chunk."""
 
-    name = "rewrite-all"
-
-    def feed(self, entry: IngestEntry):
-        if entry.duplicate:
-            entry.rewrite = True
-        return (entry,)
+    def decide(self, referenced, segment_bytes):
+        return set(referenced)
 
 
-class _BufferingPolicy(RewritingPolicy):
-    """Test double: buffers everything until flush (stream order must hold)."""
+class _NeverRewrite(RewritingPolicy):
+    """Test double: buffers ``segment_bytes`` per decision, never rewrites,
+    and records every decision it is asked for."""
 
-    name = "buffering"
+    def __init__(self, segment_bytes: int = 0):
+        self.segment_bytes = segment_bytes
+        self.decisions: list[tuple[dict[int, int], int]] = []
 
-    def __init__(self):
-        self._held = []
-
-    def feed(self, entry: IngestEntry):
-        self._held.append(entry)
-        return ()
-
-    def flush(self):
-        held, self._held = self._held, []
-        return held
+    def decide(self, referenced, segment_bytes):
+        self.decisions.append((dict(referenced), segment_bytes))
+        return set()
 
 
 class TestRewritingHook:
@@ -158,8 +151,72 @@ class TestRewritingHook:
 
     def test_buffered_policy_preserves_stream_order(self, parts):
         store, index, recipes = parts
-        pipeline = make_pipeline(parts, rewriting=_BufferingPolicy())
+        pipeline = make_pipeline(parts, rewriting=_NeverRewrite(1 << 40))
         stream = refs("a", [5, 3, 9, 1])
         result = pipeline.ingest(stream)
         recipe = recipes.get(result.backup_id)
         assert [logical_fp(e.fp) for e in recipe.entries] == [r.fp for r in stream]
+
+
+class TestSegmentKernel:
+    def test_segments_close_at_threshold_and_final_partial_is_decided(self, parts):
+        policy = _NeverRewrite(segment_bytes=1024)
+        pipeline = make_pipeline(parts, rewriting=policy)
+        pipeline.ingest(refs("a", range(4)))  # 2 KiB, sealed as container 0
+        policy.decisions.clear()
+        # 700 + 700 crosses 1024; two 512 B duplicates reach it exactly,
+        # twice; the final 500 B are a partial segment, decided at the end.
+        stream = (
+            refs("c", [0, 1], size=700)
+            + refs("a", [0, 1, 2, 3])
+            + refs("b", [9], size=500)
+        )
+        result = pipeline.ingest(stream)
+        assert [seg for _, seg in policy.decisions] == [1400, 1024, 1024, 500]
+        # Per-container duplicate bytes; the first and last segments are misses.
+        assert [ref for ref, _ in policy.decisions] == [{}, {0: 1024}, {0: 1024}, {}]
+        assert result.dedup_bytes == 4 * 512
+        assert result.rewritten_bytes == 0
+
+    def test_zero_segment_policy_that_never_rewrites_equals_no_policy(
+        self, tiny_config
+    ):
+        """Deciding after every chunk and never rewriting is exactly the
+        policy-free kernel: same recipe columns, containers and probe
+        counters, across intra-backup repeats and a stale logical entry."""
+
+        def run(policy):
+            service = DedupBackupService(config=tiny_config)
+            service.pipeline.rewriting = policy
+            service.ingest(refs("old", range(16)))
+            service.ingest(refs("keep", range(16)))
+            service.delete_oldest(1)
+            service.run_gc()  # reclaims "old": its logical entries go stale
+            service.ingest(
+                refs("old", [0, 1, 0, 2, 1]) + refs("keep", [3, 3, 4]) + refs("new", [7, 7])
+            )
+            return service
+
+        bare, policed = run(None), run(_NeverRewrite(0))
+        assert policed.pipeline.rewriting.decisions  # the policy was consulted
+        # Stale entries were hit (probed, then dropped as reclaimed).
+        assert bare.index.lookups > bare.index.hits
+
+        def end_state(service):
+            recipes = [
+                (r.backup_id, r.chunk_ids, r.chunk_sizes)
+                for r in service.recipes.live_recipes()
+            ]
+            layout = [
+                (c.container_id, c.chunk_ids, c.chunk_sizes)
+                for c in service.store.containers()
+            ]
+            counters = (
+                service.pipeline.logical.lookups,
+                service.pipeline.logical.hits,
+                service.index.lookups,
+                service.index.hits,
+            )
+            return recipes, layout, counters
+
+        assert end_state(bare) == end_state(policed)

@@ -2,20 +2,24 @@
 
 import pytest
 
+from repro.backup.approaches import make_service
+from repro.backup.options import ServiceOptions
+from repro.chunking.base import split
+from repro.chunking.fastcdc import FastCDC
 from repro.dedup.pipeline import IngestPipeline
 from repro.dedup.rewriting import (
     CappingRewriting,
     HARRewriting,
-    NullRewriting,
     SMRRewriting,
     make_rewriting,
 )
-from repro.dedup.rewriting.base import IngestEntry
 from repro.errors import ConfigError
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
+from repro.storage.writer import ContainerWriter
+from repro.workloads.bytesgen import synthetic_backup_bytes
 
 from tests.conftest import refs
 
@@ -24,20 +28,9 @@ def make_store(capacity=4096) -> ContainerStore:
     return ContainerStore(capacity=capacity, disk=DiskModel())
 
 
-def entry(i: int, container_id=None, size=512) -> IngestEntry:
-    ref = refs("rw", [i], size=size)[0]
-    item = IngestEntry(fp=ref.fp, size=size)
-    if container_id is not None:
-        item.duplicate = True
-        item.existing_key = ref.fp + b"\x00" * 4
-        item.container_id = container_id
-    return item
-
-
 class TestRegistry:
     def test_known_names(self):
         store = make_store()
-        assert isinstance(make_rewriting("none", store), NullRewriting)
         assert isinstance(make_rewriting("capping", store), CappingRewriting)
         assert isinstance(make_rewriting("har", store), HARRewriting)
         assert isinstance(make_rewriting("smr", store), SMRRewriting)
@@ -45,61 +38,46 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_rewriting("zfs", make_store())
+        # Policy-free services pass rewriting=None; there is no null policy.
+        with pytest.raises(ValueError):
+            make_rewriting("none", make_store())
 
     def test_kwargs_forwarded(self):
         policy = make_rewriting("capping", make_store(), cap=3)
         assert policy.cap == 3
 
 
-class TestNullRewriting:
-    def test_passthrough_without_rewrites(self):
-        policy = NullRewriting()
-        item = entry(1, container_id=5)
-        (out,) = policy.feed(item)
-        assert out is item
-        assert not out.rewrite
-        assert list(policy.flush()) == []
-
-
 class TestCapping:
     def test_rewrites_beyond_cap(self):
         """3 referenced old containers with cap 2 → weakest one rewritten."""
         policy = CappingRewriting(make_store(capacity=4096), cap=2, segment_containers=1)
-        items = (
-            [entry(i, container_id=1) for i in range(3)]
-            + [entry(10 + i, container_id=2) for i in range(2)]
-            + [entry(20, container_id=3)]
-        )
-        out = []
-        for item in items:
-            out.extend(policy.feed(item))
-        out.extend(policy.flush())
-        by_container = {
-            cid: [o.rewrite for o in out if o.container_id == cid] for cid in (1, 2, 3)
-        }
-        assert not any(by_container[1])  # strongest: kept
-        assert not any(by_container[2])
-        assert all(by_container[3])  # weakest: rewritten
+        assert policy.decide({1: 3 * 512, 2: 2 * 512, 3: 512}, 6 * 512) == {3}
+
+    def test_ties_rank_by_container_id(self):
+        policy = CappingRewriting(make_store(), cap=1, segment_containers=1)
+        assert policy.decide({7: 512, 4: 512}, 1024) == {7}
 
     def test_under_cap_never_rewrites(self):
         policy = CappingRewriting(make_store(), cap=5, segment_containers=1)
-        out = list(policy.feed(entry(1, container_id=1))) + list(policy.flush())
-        assert not any(o.rewrite for o in out)
+        assert policy.decide({1: 512}, 512) == set()
 
-    def test_segment_boundary_triggers_decision(self):
-        """Entries are released once a full segment of bytes is buffered."""
-        store = make_store(capacity=1024)
-        policy = CappingRewriting(store, cap=1, segment_containers=1)
-        released = []
-        for i in range(4):  # 4 × 512 B > 1 segment (1024 B)
-            released.extend(policy.feed(entry(i, size=512)))
-        assert released  # something came out before flush
+    def test_segment_is_a_multiple_of_the_container_size(self):
+        policy = CappingRewriting(make_store(capacity=1024), segment_containers=3)
+        assert policy.segment_bytes == 3 * 1024
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigError):
             CappingRewriting(make_store(), cap=0)
         with pytest.raises(ConfigError):
             CappingRewriting(make_store(), segment_containers=0)
+
+
+def _seal_full_container(store, first: int) -> None:
+    """Seal one full container of eight 512 B chunks."""
+    writer = ContainerWriter(store)
+    for chunk_id in range(first, first + 8):
+        writer.append(chunk_id, 512, b"k%d" % chunk_id)
+    writer.flush()
 
 
 def _ingest_rounds(policy, store, streams):
@@ -111,6 +89,17 @@ def _ingest_rounds(policy, store, streams):
 
 
 class TestHAR:
+    def test_decides_per_chunk_from_recorded_history(self):
+        store = make_store(capacity=4096)
+        policy = HARRewriting(store, utilization_threshold=0.5)
+        assert policy.segment_bytes == 0
+        policy._utilization = {1: 0.25, 2: 0.75}
+        policy.begin_backup(0)
+        assert policy.decide({1: 512}, 512) == {1}  # sparse: rewritten
+        assert policy.decide({2: 512}, 512) == set()  # dense: referenced
+        assert policy.decide({3: 512}, 512) == set()  # unseen: referenced
+        assert policy._referenced == {2: 512, 3: 512}
+
     def test_sparse_container_rewritten_next_backup(self):
         store = make_store(capacity=4096)
         policy = HARRewriting(store, utilization_threshold=0.5)
@@ -160,6 +149,19 @@ class TestHAR:
 
 
 class TestSMR:
+    def test_decide_spends_budget_on_worst_utilized_first(self):
+        store = make_store(capacity=4096)
+        for i in range(3):  # three full 4 KiB containers: ids 0, 1, 2
+            _seal_full_container(store, 8 * i)
+        policy = SMRRewriting(
+            store, utility_threshold=0.5, rewrite_budget=0.25, segment_containers=1
+        )
+        # Utilities 0.875 (container 0) > 0.75 (container 1) > 0.5: both are
+        # candidates and 0 ranks first; the 1024 B budget (0.25 × 4096) has
+        # room for 0 and not then 1.  Container 2 (0.125) is no candidate.
+        referenced = {1: 1024, 0: 512, 2: 3584}
+        assert policy.decide(referenced, 4096) == {0}
+
     def test_rewrites_worst_utilized_within_budget(self):
         store = make_store(capacity=4096)
         policy = SMRRewriting(
@@ -195,3 +197,42 @@ class TestSMR:
             SMRRewriting(make_store(), rewrite_budget=1.5)
         with pytest.raises(ConfigError):
             SMRRewriting(make_store(), segment_containers=0)
+
+
+#: Aggressive knobs, so a short byte-level rotation rewrites for every policy.
+_BYTE_LEVEL_POLICIES = {
+    "capping": {"cap": 2, "segment_containers": 1},
+    "har": {"utilization_threshold": 0.5},
+    "smr": {"utility_threshold": 0.9, "rewrite_budget": 0.5, "segment_containers": 1},
+}
+
+
+@pytest.mark.parametrize("gc_mode", ["stw", "incremental"])
+@pytest.mark.parametrize("approach", sorted(_BYTE_LEVEL_POLICIES))
+def test_rewritten_backups_restore_their_bytes(approach, gc_mode, tiny_config):
+    """Payload-carrying rewrites: ten FastCDC-split versions of an image,
+    rotated down to four live backups, each restoring to its own bytes."""
+    service = make_service(
+        approach,
+        tiny_config,
+        ServiceOptions(gc_mode=gc_mode),
+        **_BYTE_LEVEL_POLICIES[approach],
+    )
+    cdc = FastCDC(tiny_config.chunking)
+    originals = {}
+    rewritten = 0
+    for version in range(10):
+        image = synthetic_backup_bytes(
+            seed=5, version=version, size=12_000, region_size=1_000, churn=0.2
+        )
+        result = service.ingest(split(cdc, image))
+        originals[result.backup_id] = image
+        rewritten += result.rewritten_bytes
+        if len(service.live_backup_ids()) > 4:
+            service.delete_oldest(1)
+            service.run_gc()
+    assert rewritten > 0
+    assert len(service.live_backup_ids()) == 4
+    for backup_id in service.live_backup_ids():
+        _, restored = service.restore_bytes(backup_id)
+        assert restored == originals[backup_id]

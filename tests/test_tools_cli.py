@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backup.approaches import APPROACHES
 from repro.tools import main
 
 
@@ -94,3 +95,21 @@ def test_one_console_script():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"repro": "repro.tools:main"}
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_inspect_every_approach(approach, capsys):
+    """Container approaches print their views; MFDedup keeps volumes, not
+    containers, so argparse rejects it (exit 2) instead of a traceback."""
+    argv = [
+        "inspect", "--approach", approach, "--dataset", "web",
+        "--backups", "6", "--retained", "4", "--turnover", "1", "--scale", "0.05",
+    ]
+    if approach == "mfdedup":
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'mfdedup'" in capsys.readouterr().err
+        return
+    assert main(argv) == 0
+    assert "mean ownership purity" in capsys.readouterr().out
